@@ -14,9 +14,13 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .driver import CONVERGED, FE_BUDGET_EXHAUSTED, TrConfig, minimize
+from .driver import CONVERGED, TrConfig, minimize
 from .errors import CsvFormatError
 from .problems import ProblemInstance, make
+
+# Status of a run that ended in an exception, as distinct from the
+# driver's own exits (converged, radius_too_small, fe_budget_exhausted).
+ERROR = "error"
 
 CSV_HEADER = [
     "problem", "n", "solver", "status", "time_sec",
@@ -75,10 +79,11 @@ def _run_one(name: str, n: int, solver: str, config: TrConfig) -> RunRecord:
     try:
         result = minimize(problem, replace(config, solver=solver))
     except Exception:
-        # A diverging or raising evaluation ends the run; keep the counts.
+        # A raise from the problem or the solver ends the run; keep the
+        # counts, and leave the time unknown rather than zero.
         return RunRecord(
-            problem=name, n=n, solver=solver, status=FE_BUDGET_EXHAUSTED,
-            time_sec=0.0, fe=counter["fe"], ge=counter["fe"], inner_iters=0,
+            problem=name, n=n, solver=solver, status=ERROR,
+            time_sec=math.nan, fe=counter["fe"], ge=counter["fe"], inner_iters=0,
             f_final=math.nan, gnorm_final=math.nan,
         )
     return RunRecord(

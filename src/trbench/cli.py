@@ -11,7 +11,7 @@ import sys
 
 from .bench import performance_profile, read_csv, run_suite, write_csv, write_profile
 from .diagnostics import run_all_checks
-from .driver import CONVERGED, TrConfig
+from .driver import CONVERGED, SOLVERS, TrConfig
 from .problems import PROBLEM_NAMES
 
 
@@ -23,8 +23,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a solver x problem grid")
-    run_p.add_argument("--solver", default="mss,steihaug",
-                       help="comma-separated subset of: mss, steihaug")
+    run_p.add_argument("--solver", default=",".join(SOLVERS),
+                       help="comma-separated subset of: " + ", ".join(SOLVERS))
     run_p.add_argument("--problems", default="all",
                        help="'all' or comma-separated problem names")
     run_p.add_argument("--n", default="default",
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
-    unknown = [s for s in solvers if s not in ("mss", "steihaug")]
+    unknown = [s for s in solvers if s not in SOLVERS]
     if not solvers or unknown:
         print(f"error: bad --solver value {args.solver!r}", file=sys.stderr)
         return 2

@@ -80,7 +80,7 @@ def check_gradients(n: int = 100, seed: int = 0) -> CheckResult:
     return CheckResult("gradients vs central differences", worst <= 1e-5, worst, 1e-5)
 
 
-def check_two_loop(seed: int = 1, trials: int = 20) -> CheckResult:
+def check_products(seed: int = 1, trials: int = 20) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -91,7 +91,7 @@ def check_two_loop(seed: int = 1, trials: int = 20) -> CheckResult:
         dense = mem.materialize_dense()
         worst = max(worst, _rel_err(mem.inv_multiply(z), np.linalg.solve(dense, z)))
         worst = max(worst, _rel_err(mem.multiply(z), dense @ z))
-    return CheckResult("two-loop and unrolled products vs dense", worst <= 1e-10, worst, 1e-10)
+    return CheckResult("compact products vs dense", worst <= 1e-10, worst, 1e-10)
 
 
 def check_shifted(seed: int = 2, trials: int = 20) -> CheckResult:
@@ -173,7 +173,7 @@ def check_boundary_accuracy(seed: int = 5, trials: int = 20) -> CheckResult:
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
     return [
         check_gradients(seed=seed),
-        check_two_loop(seed=seed + 1),
+        check_products(seed=seed + 1),
         check_shifted(seed=seed + 2),
         check_mss(seed=seed + 3),
         check_newton_update(seed=seed + 4),

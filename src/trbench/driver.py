@@ -82,16 +82,15 @@ class TrResult:
     rejected_steps: int
 
 
-def rho(f_x: float, f_trial: float, g_x, p, mem: PairMemory) -> float:
+def rho(f_x: float, f_trial: float, predicted: float) -> float:
     """Actual-over-predicted reduction ratio for one trial step.
 
-    The predicted reduction -g^T p - 0.5 p^T B p is evaluated through the
-    memory's forward product; it must be positive for a descent solver on
-    an SPD model, so a nonpositive value raises ModelInconsistencyError.
+    ``predicted`` is the model reduction -g^T p - 0.5 p^T B p, which the
+    subproblem solvers return as ``model_reduction``.  It must be positive
+    for a descent solver on an SPD model, so a nonpositive value raises
+    ModelInconsistencyError.
     """
-    g_x = np.asarray(g_x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    predicted = float(-(g_x @ p) - 0.5 * (p @ mem.multiply(p)))
+    predicted = float(predicted)
     if not predicted > 0.0:
         raise ModelInconsistencyError(
             f"predicted reduction {predicted:.3e} is not positive"
@@ -172,7 +171,7 @@ def minimize(
 
         trial_finite = math.isfinite(f_trial) and bool(np.all(np.isfinite(g_trial)))
         if trial_finite:
-            ratio = rho(f, f_trial, g, p, mem)
+            ratio = rho(f, f_trial, result.model_reduction)
         else:
             ratio = -math.inf  # reject and shrink on non-finite trials
         accepted = ratio >= config.eta1

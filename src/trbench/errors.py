@@ -4,7 +4,7 @@
 class ShiftTooSmallError(ValueError):
     """gamma * sigma is below the stability floor of the shifted recursion.
 
-    Callers should fall back to the unshifted two-loop solve.
+    Callers should fall back to the unshifted inverse product.
     """
 
 

@@ -7,9 +7,19 @@ giving the base matrix B0 = gamma^{-1} I:
     B = B0 - sum_i a_i a_i^T + sum_i b_i b_i^T
 
 with a_i = B_i s_i / sqrt(s_i^T B_i s_i) and b_i = y_i / sqrt(y_i^T s_i),
-where B_i is the matrix after the first i updates.  Products with B use
-this unrolled rank-one form (O(M^2 n) to set up, O(M n) per product);
-products with B^{-1} use the classic two-loop recursion (O(M n)).
+where B_i is the matrix after the first i updates.
+
+The pairs live in one ring-buffered panel P whose rows are s and y of
+each slot, next to its Gram matrix G = P P^T.  Every a_i and b_i is a
+coefficient row over P (row i of W_a and W_b), so both products take the
+compact form of Byrd, Nocedal & Schnabel (1994):
+
+    B v      = gamma^{-1} v + P^T K_B (P v),   K_B = W_b^T W_b - W_a^T W_a,
+    B^{-1} v = gamma v      + P^T K_H (P v),
+
+with small kernels; K_B is applied through its factors.  Costs: O(M n) to
+update G per accepted pair, O(M^3) to build the factors (no n-length
+work), O(M n) per product.
 """
 
 from __future__ import annotations
@@ -27,35 +37,46 @@ SQRT_EPS = math.sqrt(EPS)
 
 @dataclass(frozen=True)
 class AbVectors:
-    """Unrolled rank-one factors of a pair memory.
+    """The a/b factors of a pair memory as coefficient rows over its panel.
 
-    ``a`` and ``b`` hold the update vectors row-wise.  ``s_bs`` and
+    Row i of ``a_coef`` = W_a (``b_coef`` = W_b) holds the coefficients of
+    a_i (b_i) over the rows of :attr:`PairMemory.panel`, so that
+    a_i = a_coef[i] @ panel; rows run oldest pair first.  ``s_bs`` and
     ``y_s`` keep the normalization denominators s_i^T B_i s_i and
-    y_i^T s_i (both positive) for diagnostics.
+    y_i^T s_i (both positive) for diagnostics.  ``k_h`` is the kernel of
+    the inverse product over the panel.
+
+    The forward kernel K_B = W_b^T W_b - W_a^T W_a is kept in factored
+    form: when panel rows are nearly dependent the coefficients grow, and
+    one assembled K_B would square that growth where the factors only
+    carry it once.
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    a_coef: np.ndarray
+    b_coef: np.ndarray
     s_bs: np.ndarray
     y_s: np.ndarray
+    k_h: np.ndarray
 
     @property
     def m(self) -> int:
-        return self.a.shape[0]
+        return self.a_coef.shape[0]
 
 
 class PairMemory:
     """FIFO store of L-BFGS curvature pairs with implicit-matrix products.
 
     Pairs enter through :meth:`try_update`, which enforces the curvature
-    gate sqrt(eps) < s^T y < 1/sqrt(eps); accepted pairs evict the oldest
-    once ``capacity`` is reached.  gamma is refreshed from the newest pair
-    as s^T y / ||y||^2 and thresholded from below by sqrt(eps) so that the
-    shifted recursion stays stable.  Before any update B is the identity
-    (gamma = 1).
+    gate sqrt(eps) < s^T y < 1/sqrt(eps); accepted pairs overwrite the
+    oldest slot once ``capacity`` is reached.  gamma is refreshed from the
+    newest pair as s^T y / ||y||^2 and thresholded from below by
+    sqrt(eps) so that the shifted recursion stays stable.  Before any
+    update B is the identity (gamma = 1).
 
-    All operations except ``try_update`` are read-only; the a/b factors
-    are cached and rebuilt lazily after any mutation.
+    Slot j occupies panel rows 2j (s) and 2j + 1 (y).  Slots fill in
+    order and then wrap, so the stored pairs always occupy the leading
+    2m rows.  All operations except ``try_update`` are read-only; the
+    factors are cached and rebuilt lazily after any mutation.
     """
 
     def __init__(self, n: int, capacity: int = 5):
@@ -65,8 +86,10 @@ class PairMemory:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.n = n
         self.capacity = capacity
-        self._s: list[np.ndarray] = []
-        self._y: list[np.ndarray] = []
+        self._panel = np.zeros((2 * capacity, n))
+        self._gram = np.zeros((2 * capacity, 2 * capacity))
+        self._m = 0
+        self._head = 0  # slot of the oldest pair
         self._gamma = 1.0
         self._ab: AbVectors | None = None
         self._version = 0
@@ -74,7 +97,7 @@ class PairMemory:
     @property
     def m(self) -> int:
         """Number of stored pairs."""
-        return len(self._s)
+        return self._m
 
     @property
     def gamma(self) -> float:
@@ -87,9 +110,31 @@ class PairMemory:
         return self._version
 
     @property
+    def panel(self) -> np.ndarray:
+        """Read-only view of the (2m, n) panel rows that hold pairs."""
+        view = self._panel[: 2 * self._m]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Read-only view of the (2m, 2m) Gram matrix panel @ panel.T."""
+        k = 2 * self._m
+        view = self._gram[:k, :k]
+        view.flags.writeable = False
+        return view
+
+    def _slots(self) -> list[int]:
+        """Slot indices, oldest pair first."""
+        return [(self._head + i) % self.capacity for i in range(self._m)]
+
+    @property
     def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Stored (s, y) pairs, oldest first (copies)."""
-        return [(s.copy(), y.copy()) for s, y in zip(self._s, self._y)]
+        return [
+            (self._panel[2 * j].copy(), self._panel[2 * j + 1].copy())
+            for j in self._slots()
+        ]
 
     def _check_dim(self, v: np.ndarray, name: str) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -101,8 +146,9 @@ class PairMemory:
         """Offer a new pair; store it only if the curvature gate passes.
 
         Returns True iff sqrt(eps) < s^T y < 1/sqrt(eps).  On acceptance
-        the oldest pair is evicted when full and gamma is recomputed from
-        the new pair.  On rejection the memory is untouched.
+        the pair overwrites the oldest slot when full, its Gram rows are
+        refreshed with one pass over the panel, and gamma is recomputed
+        from the new pair.  On rejection the memory is untouched.
         """
         s = self._check_dim(s_plus, "s_plus")
         y = self._check_dim(y_plus, "y_plus")
@@ -110,44 +156,49 @@ class PairMemory:
         # NaN compares false on both sides, so non-finite data is rejected.
         if not (SQRT_EPS < sy < 1.0 / SQRT_EPS):
             return False
-        self._s.append(s.copy())
-        self._y.append(y.copy())
-        if len(self._s) > self.capacity:
-            self._s.pop(0)
-            self._y.pop(0)
+        if self._m < self.capacity:
+            slot = self._m
+            self._m += 1
+        else:
+            slot = self._head
+            self._head = (slot + 1) % self.capacity
+        rows = slice(2 * slot, 2 * slot + 2)
+        self._panel[2 * slot] = s
+        self._panel[2 * slot + 1] = y
+        k = 2 * self._m
+        cross = self._panel[:k] @ self._panel[rows].T  # (2m, 2): products with s and y
+        self._gram[:k, rows] = cross
+        self._gram[rows, :k] = cross.T
+        # The gate's s^T y, so y_s matches it and G stays exactly symmetric.
+        self._gram[2 * slot, 2 * slot + 1] = self._gram[2 * slot + 1, 2 * slot] = sy
         self._gamma = max(SQRT_EPS, sy / float(y @ y))
         self._ab = None
         self._version += 1
         return True
 
     def inv_multiply(self, z) -> np.ndarray:
-        """Return B^{-1} z via the two-loop recursion with B0^{-1} = gamma I."""
+        """Return B^{-1} z from the compact inverse with B0^{-1} = gamma I."""
         z = self._check_dim(z, "z")
-        m = len(self._s)
-        q = z.copy()
-        alpha = np.empty(m)
-        rho = np.empty(m)
-        for k in range(m - 1, -1, -1):
-            rho[k] = 1.0 / float(self._y[k] @ self._s[k])
-            alpha[k] = rho[k] * float(self._s[k] @ q)
-            q -= alpha[k] * self._y[k]
-        r = self._gamma * q
-        for k in range(m):
-            beta = rho[k] * float(self._y[k] @ r)
-            r += (alpha[k] - beta) * self._s[k]
+        ab = self.ab_vectors()
+        r = self._gamma * z
+        if ab.m:
+            panel = self._panel[: 2 * self._m]
+            r += panel.T @ (ab.k_h @ (panel @ z))
         return r
 
     def multiply(self, v) -> np.ndarray:
-        """Return B v using the unrolled a/b form."""
+        """Return B v = v / gamma - sum a_i (a_i^T v) + sum b_i (b_i^T v)."""
         v = self._check_dim(v, "v")
         ab = self.ab_vectors()
         r = v / self._gamma
         if ab.m:
-            r = r - ab.a.T @ (ab.a @ v) + ab.b.T @ (ab.b @ v)
+            panel = self._panel[: 2 * self._m]
+            u = panel @ v
+            r += panel.T @ (ab.b_coef.T @ (ab.b_coef @ u) - ab.a_coef.T @ (ab.a_coef @ u))
         return r
 
     def ab_vectors(self) -> AbVectors:
-        """Return the cached a/b factors, rebuilding after any mutation.
+        """Return the cached factors, rebuilding after any mutation.
 
         Raises NumericalBreakdownError when some s_i^T B_i s_i is not
         positive, which signals loss of positive definiteness despite the
@@ -158,34 +209,50 @@ class PairMemory:
         return self._ab
 
     def _build_ab(self) -> AbVectors:
-        m = len(self._s)
-        a = np.zeros((m, self.n))
-        b = np.zeros((m, self.n))
+        m, k = self._m, 2 * self._m
+        gram = self._gram[:k, :k]
+        s_rows = np.array([2 * j for j in self._slots()], dtype=int)
+        y_rows = s_rows + 1
+        a = np.zeros((m, k))
+        b = np.zeros((m, k))
         s_bs = np.zeros(m)
-        y_s = np.zeros(m)
+        y_s = gram[s_rows, y_rows]
         ginv = 1.0 / self._gamma
-        for i in range(m):
-            s, y = self._s[i], self._y[i]
-            bs = ginv * s
+        for i, (si, yi) in enumerate(zip(s_rows, y_rows)):
+            # Coefficients of B_i s_i, with every inner product read from G.
+            bs = np.zeros(k)
+            bs[si] = ginv
             if i:
-                bs = bs - a[:i].T @ (a[:i] @ s) + b[:i].T @ (b[:i] @ s)
-            sbs = float(s @ bs)
+                g_s = gram[:, si]
+                bs -= (a[:i] @ g_s) @ a[:i]
+                bs += (b[:i] @ g_s) @ b[:i]
+            sbs = float(bs @ gram[:, si])
             if not np.isfinite(sbs) or sbs <= 0.0:
                 raise NumericalBreakdownError(
                     f"s^T B s = {sbs:.3e} for pair {i}; B lost positive definiteness"
                 )
-            ys = float(y @ s)
             a[i] = bs / math.sqrt(sbs)
-            b[i] = y / math.sqrt(ys)
+            b[i, yi] = 1.0 / math.sqrt(y_s[i])
             s_bs[i] = sbs
-            y_s[i] = ys
-        return AbVectors(a=a, b=b, s_bs=s_bs, y_s=y_s)
+
+        # Compact inverse (Byrd, Nocedal & Schnabel 1994, eq. 2.6) with
+        # R = triu(S^T Y) and D = diag(S^T Y), both oldest pair first.
+        k_h = np.zeros((k, k))
+        if m:
+            r_inv = np.linalg.inv(np.triu(gram[np.ix_(s_rows, y_rows)]))
+            yy = gram[np.ix_(y_rows, y_rows)]
+            k_h[np.ix_(s_rows, s_rows)] = r_inv.T @ (np.diag(y_s) + self._gamma * yy) @ r_inv
+            k_h[np.ix_(s_rows, y_rows)] = -self._gamma * r_inv.T
+            k_h[np.ix_(y_rows, s_rows)] = -self._gamma * r_inv
+        return AbVectors(a_coef=a, b_coef=b, s_bs=s_bs, y_s=y_s, k_h=k_h)
 
     def materialize_dense(self) -> np.ndarray:
         """Form B explicitly as an n x n array.  Test oracle, small n only."""
         ab = self.ab_vectors()
+        a = ab.a_coef @ self.panel
+        b = ab.b_coef @ self.panel
         dense = np.eye(self.n) / self._gamma
         for i in range(ab.m):
-            dense -= np.outer(ab.a[i], ab.a[i])
-            dense += np.outer(ab.b[i], ab.b[i])
+            dense -= np.outer(a[i], a[i])
+            dense += np.outer(b[i], b[i])
         return dense

@@ -14,8 +14,15 @@ b_{(k-1)/2} with sign +1, so
     (B + sigma I)^{-1} y = (gamma^{-1}+sigma)^{-1} y
                            + sum_k (-1)^k v_k (r_k^T y) r_k.
 
+Every c_k, and hence every r_k, lies in the span of the memory's panel P,
+so the recursion runs on coefficient rows over P with each inner product
+read from the Gram matrix G = P P^T.  Preparing a shift costs O(M^3) with
+no n-length work; each solve is base * y + P^T K_sigma (P y), O(M n), with
+K_sigma = sum_k (-1)^k v_k w_k^T w_k for the coefficient rows w_k of r_k,
+applied through those factors.
+
 Stability requires gamma * sigma bounded away from zero; callers must route
-tiny shifts to the unshifted two-loop solve instead.
+tiny shifts to the unshifted inverse product instead.
 """
 
 from __future__ import annotations
@@ -36,13 +43,15 @@ DENOM_GUARD = 1e3 * EPS
 class ShiftedRecursionState:
     """Precomputed r_k / v_k data for one (memory, sigma) combination.
 
-    Building the state costs O(M^2 n); each solve against it costs O(M n),
-    so repeated right-hand sides at the same shift are cheap.
+    ``r_coef`` holds the coefficients of each r_k over the memory's panel
+    (r_k = r_coef[k] @ mem.panel).  Building the state costs O(M^3); each
+    solve against it costs O(M n), so repeated right-hand sides at the
+    same shift are cheap.
     """
 
     sigma: float
     base: float  # (gamma^{-1} + sigma)^{-1}
-    r: np.ndarray  # (2m, n)
+    r_coef: np.ndarray  # (2m, 2m)
     v: np.ndarray  # (2m,)
     signs: np.ndarray  # (2m,), (-1)^k
     mem_version: int
@@ -62,21 +71,24 @@ def prepare(mem: PairMemory, sigma: float) -> ShiftedRecursionState:
     if mem.gamma * sigma <= EPS:
         raise ShiftTooSmallError(
             f"gamma*sigma = {mem.gamma * sigma:.3e} <= eps; "
-            "use the unshifted two-loop solve instead"
+            "use the unshifted inverse product instead"
         )
     ab = mem.ab_vectors()
     base = 1.0 / (1.0 / mem.gamma + sigma)
     k_total = 2 * ab.m
-    r = np.zeros((k_total, mem.n))
+    c = np.empty((k_total, k_total))  # coefficient rows of c_k: a_0, b_0, a_1, ...
+    c[0::2] = ab.a_coef
+    c[1::2] = ab.b_coef
+    gc = c @ mem.gram  # row k: inner products of c_k with every panel row
+    r = np.zeros((k_total, k_total))
     v = np.zeros(k_total)
     signs = np.where(np.arange(k_total) % 2 == 0, 1.0, -1.0)  # (-1)^k
     sv = np.zeros(k_total)  # (-1)^i v_i, the weights used while building
     for k in range(k_total):
-        c = ab.a[k // 2] if k % 2 == 0 else ab.b[(k - 1) // 2]
-        rk = base * c
+        rk = base * c[k]
         if k:
-            rk = rk + (sv[:k] * (r[:k] @ c)) @ r[:k]
-        denom = 1.0 + (-signs[k]) * float(rk @ c)  # (-1)^{k+1} r_k^T c
+            rk = rk + (sv[:k] * (r[:k] @ gc[k])) @ r[:k]
+        denom = 1.0 + (-signs[k]) * float(rk @ gc[k])  # (-1)^{k+1} r_k^T c_k
         if abs(denom) < DENOM_GUARD:
             raise NumericalBreakdownError(
                 f"recursion denominator {denom:.3e} at step {k}"
@@ -85,7 +97,7 @@ def prepare(mem: PairMemory, sigma: float) -> ShiftedRecursionState:
         v[k] = 1.0 / denom
         sv[k] = signs[k] * v[k]
     return ShiftedRecursionState(
-        sigma=sigma, base=base, r=r, v=v, signs=signs,
+        sigma=sigma, base=base, r_coef=r, v=v, signs=signs,
         mem_version=mem.version, n=mem.n,
     )
 
@@ -101,8 +113,10 @@ def apply(state: ShiftedRecursionState, mem: PairMemory, y) -> np.ndarray:
     if y.shape != (state.n,):
         raise ValueError(f"y has shape {y.shape}, expected ({state.n},)")
     x = state.base * y
-    if state.r.size:
-        x = x + ((state.signs * state.v) * (state.r @ y)) @ state.r
+    if state.r_coef.size:
+        panel = mem.panel
+        weights = (state.signs * state.v) * (state.r_coef @ (panel @ y))
+        x += panel.T @ (weights @ state.r_coef)
     return x
 
 

@@ -139,8 +139,8 @@ def mss_solve(
     (B + sigma I) p_hat = -p for the derivative of the pole function,
     take a Newton step in sigma, then re-solve (B + sigma I) p = -g.
     Shifts at or below sqrt(eps_sigma) are snapped to zero and handled by
-    the two-loop recursion; larger shifts reuse one prepared recursion
-    state for both solves at that sigma.
+    the compact inverse product; larger shifts reuse one prepared
+    recursion state for both solves at that sigma.
 
     Returns a result with status "interior", "boundary", "max_iterations"
     (iteration cap hit, best iterate returned) or "breakdown" (recursion

@@ -6,6 +6,7 @@ import pytest
 
 from trbench import (
     CsvFormatError,
+    NumericalBreakdownError,
     RunRecord,
     TrConfig,
     performance_profile,
@@ -86,9 +87,22 @@ class TestRunSuite:
         monkeypatch.setattr(bench_mod, "make", exploding_make)
         records = run_suite(["mss"], [("srosenbr", 10)])
         assert len(records) == 1
-        assert records[0].status == "fe_budget_exhausted"
+        assert records[0].status == "error"
         assert records[0].fe >= 1
         assert math.isnan(records[0].f_final)
+        assert math.isnan(records[0].time_sec)  # unknown, never a fast zero
+
+    def test_raising_solver_recorded_as_error(self, monkeypatch):
+        import trbench.driver as driver_mod
+
+        def broken_solve(mem, sp, opts=None):
+            raise NumericalBreakdownError("synthetic solver bug")
+
+        monkeypatch.setattr(driver_mod, "mss_solve", broken_solve)
+        records = run_suite(["mss"], [("srosenbr", 10)])
+        assert [r.status for r in records] == ["error"]
+        assert records[0].fe == 1  # only the starting point was evaluated
+        assert math.isnan(records[0].time_sec)
 
     def test_thread_cap_respected(self, monkeypatch):
         monkeypatch.setenv("TRBENCH_THREADS", "2")

@@ -9,9 +9,11 @@ from trbench import (
     ModelInconsistencyError,
     PairMemory,
     ProblemInstance,
+    Subproblem,
     TrConfig,
     make,
     minimize,
+    mss_solve,
     rho,
 )
 from trbench.diagnostics import random_memory
@@ -36,6 +38,11 @@ def table_problem(table, n=1):
     return ProblemInstance(name="table", n=n, eval=evaluate, x0=np.zeros(n))
 
 
+def predicted_reduction(mem, g, p):
+    """The model reduction -g^T p - 0.5 p^T B p, as the solvers report it."""
+    return float(-(g @ p) - 0.5 * (p @ mem.multiply(p)))
+
+
 class TestRho:
     def test_exact_quadratic_model(self, rng):
         mem = random_memory(rng, 10, 3)
@@ -46,28 +53,32 @@ class TestRho:
             return 0.5 * float(v @ mem.multiply(v))
 
         p = -0.1 * g
-        assert rho(f(x), f(x + p), g, p, mem) == pytest.approx(1.0, rel=1e-10)
+        predicted = predicted_reduction(mem, g, p)
+        assert rho(f(x), f(x + p), predicted) == pytest.approx(1.0, rel=1e-10)
 
     def test_no_actual_reduction(self, rng):
         mem = random_memory(rng, 5, 2)
         g = rng.standard_normal(5)
         p = -0.1 * g
-        assert rho(1.0, 1.0, g, p, mem) == 0.0
+        assert rho(1.0, 1.0, predicted_reduction(mem, g, p)) == 0.0
 
     def test_denominator_matches_dense_model(self, rng):
+        # The driver divides by the solver's model_reduction; it must be
+        # the dense model's prediction for the returned step.
         mem = random_memory(rng, 12, 4)
         g = rng.standard_normal(12)
-        p = -0.05 * g
+        result = mss_solve(mem, Subproblem(g=g, delta=0.05 * float(np.linalg.norm(g))))
+        p = result.p
         dense = mem.materialize_dense()
         predicted = float(-(g @ p) - 0.5 * (p @ dense @ p))
         # Feeding a numerator of exactly `predicted` isolates the denominator.
-        assert rho(predicted, 0.0, g, p, mem) == pytest.approx(1.0, rel=1e-10)
+        assert rho(predicted, 0.0, result.model_reduction) == pytest.approx(1.0, rel=1e-10)
 
     def test_nonpositive_prediction_raises(self, rng):
         mem = random_memory(rng, 5, 2)
         g = rng.standard_normal(5)
         with pytest.raises(ModelInconsistencyError):
-            rho(1.0, 0.0, g, 0.1 * g, mem)  # ascent direction
+            rho(1.0, 0.0, predicted_reduction(mem, g, 0.1 * g))  # ascent direction
 
 
 class TestMinimize:

@@ -152,8 +152,8 @@ class TestAbVectors:
         mem = PairMemory(3)
         mem.try_update(e(0, 3), e(0, 3))
         ab = mem.ab_vectors()
-        np.testing.assert_allclose(ab.a[0], e(0, 3))
-        np.testing.assert_allclose(ab.b[0], e(0, 3))
+        np.testing.assert_allclose(ab.a_coef[0] @ mem.panel, e(0, 3))
+        np.testing.assert_allclose(ab.b_coef[0] @ mem.panel, e(0, 3))
         assert ab.s_bs[0] == pytest.approx(1.0)
         assert ab.y_s[0] == pytest.approx(1.0)
 
@@ -166,15 +166,17 @@ class TestAbVectors:
     def test_b_norm_identity(self, rng):
         mem = random_memory(rng, 12, 4)
         ab = mem.ab_vectors()
+        b = ab.b_coef @ mem.panel
         for i, (_, y) in enumerate(mem.pairs):
             want = float(y @ y) / ab.y_s[i]
-            assert float(ab.b[i] @ ab.b[i]) == pytest.approx(want, rel=1e-12)
+            assert float(b[i] @ b[i]) == pytest.approx(want, rel=1e-12)
 
     def test_lengths_match_pair_count(self, rng):
         mem = random_memory(rng, 6, 4)
         ab = mem.ab_vectors()
         assert ab.m == mem.m == 4
-        assert ab.a.shape == ab.b.shape == (4, 6)
+        assert ab.a_coef.shape == ab.b_coef.shape == (4, 8)  # over 2m panel rows
+        assert (ab.a_coef @ mem.panel).shape == (ab.b_coef @ mem.panel).shape == (4, 6)
 
     def test_cache_invalidated_by_update(self, rng):
         mem = random_memory(rng, 6, 2)
@@ -229,3 +231,13 @@ def test_oracle_equivalence_sweep(rng):
             inv = mem.inv_multiply(z)
             want = np.linalg.solve(dense, z)
             assert np.linalg.norm(inv - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_panel_and_gram_are_read_only(rng):
+    mem = random_memory(rng, 6, 2)
+    assert mem.panel.shape == (4, 6)
+    assert mem.gram.shape == (4, 4)
+    with pytest.raises(ValueError):
+        mem.panel[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        mem.gram[0, 0] = 1.0

@@ -1,0 +1,238 @@
+"""Property tests: the compact-panel kernels against dense oracles.
+
+Every memory here is built by offering pairs one at a time, and the
+oracle is the recursive dense BFGS update over the pairs the memory
+reports, so the checks cover ring wrap-around and gate rejections as well
+as the algebra.  Examples are derandomized so the suite is repeatable.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trbench import (
+    EPS,
+    SQRT_EPS,
+    NumericalBreakdownError,
+    PairMemory,
+    ShiftTooSmallError,
+    prepare,
+    solve_shifted,
+)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# B is a sum of terms (B0 and the rank-one updates) that may cancel, and
+# the kernels round at the size of the largest term, ``scale`` below; the
+# term a_i a_i^T = B_i s_i s_i^T B_i / (s_i^T B_i s_i) is formed from B_i s_i,
+# whose rounding error ||B_i|| ||s_i|| eps is amplified by
+# ||B_i s_i|| / (s_i^T B_i s_i).  Forward products are therefore compared
+# relative to scale ||v||, and solves with A = B or B + sigma I relative
+# to ||A^{-1}|| scale ||x||, except that shifted solves are compared
+# relative to (scale + sigma) / sigma: the recursion passes through
+# C_k = (PSD partial sums of B) + sigma I, e.g. C_1 = B0 - a_0 a_0^T +
+# sigma I with smallest eigenvalue sigma, so its error grows like that
+# condition number even when B + sigma I is well conditioned.  The
+# tolerance allows a few thousand rounding errors, far below what a wrong
+# kernel produces.
+TOL = 1e-12
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def dense_bfgs(pairs, gamma, n):
+    """Dense recursive BFGS update starting from gamma^{-1} I.
+
+    Runs in extended precision where the platform has it, so the oracle's
+    own rounding stays below the kernels'.  Returns B and the rounding
+    scale of the recursion (see above).
+    """
+    b = np.eye(n, dtype=np.longdouble) / np.longdouble(gamma)
+    scale = 1.0 / gamma
+    for s, y in pairs:
+        s = s.astype(np.longdouble)
+        y = y.astype(np.longdouble)
+        bs = b @ s
+        yy = np.outer(y, y) / (y @ s)
+        a_term = np.linalg.norm(b.astype(float), 2) * float(
+            np.linalg.norm(s) * np.linalg.norm(bs) / (s @ bs))
+        scale = max(scale, a_term, np.linalg.norm(yy.astype(float), 2))
+        b = b - np.outer(bs, bs) / (s @ bs) + yy
+    return b, scale
+
+
+def spd_matrix(rng, n, lo=1e-2, hi=1e2):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    return (q * lam) @ q.T
+
+
+def rejected_pair(rng, n, kind):
+    """A pair the curvature gate must refuse."""
+    s = rng.standard_normal(n)
+    if kind == 0:
+        return s, -s  # negative curvature
+    if kind == 1:
+        return s, np.zeros(n)  # zero curvature
+    if kind == 2:
+        return s, np.full(n, np.nan)  # non-finite
+    return s, (2.0 / (SQRT_EPS * float(s @ s))) * s  # s^T y above 1/sqrt(eps)
+
+
+def assert_products_match(mem, rng, sigmas=(), tol=TOL):
+    """multiply, inv_multiply and shifted solves agree with the dense oracle."""
+    n = mem.n
+    exact, scale = dense_bfgs(mem.pairs, mem.gamma, n)
+    v = rng.standard_normal(n)
+    error = (mem.multiply(v) - exact @ v).astype(float)
+    assert np.linalg.norm(error) <= tol * scale * np.linalg.norm(v)
+
+    dense = exact.astype(float)
+    want = np.linalg.solve(dense, v)
+    kappa = np.linalg.norm(np.linalg.inv(dense), 2) * scale
+    assert np.linalg.norm(mem.inv_multiply(v) - want) <= tol * kappa * np.linalg.norm(want)
+
+    for sigma in sigmas:
+        shifted = dense + sigma * np.eye(n)
+        want = np.linalg.solve(shifted, v)
+        kappa = (scale + sigma) / sigma
+        got = solve_shifted(mem, sigma, v)
+        assert np.linalg.norm(got - want) <= tol * kappa * np.linalg.norm(want)
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    n=st.integers(2, 12),
+    capacity=st.integers(1, 4),
+    extra=st.integers(1, 6),
+    reject_every=st.integers(2, 5),
+)
+def test_ring_wraparound_with_rejections(seed, n, capacity, extra, reject_every):
+    rng = np.random.default_rng(seed)
+    h = spd_matrix(rng, n)
+    mem = PairMemory(n, capacity)
+    accepted = []
+    offers = 3 * capacity + extra
+    for k in range(offers):
+        if k % reject_every == reject_every - 1:
+            version = mem.version
+            assert not mem.try_update(*rejected_pair(rng, n, k % 4))
+            assert mem.version == version
+        s = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 1)
+        assert mem.try_update(s, h @ s)
+        accepted.append((s, h @ s))
+    assert mem.m == capacity
+    for (s_got, y_got), (s_want, y_want) in zip(mem.pairs, accepted[-capacity:]):
+        np.testing.assert_array_equal(s_got, s_want)
+        np.testing.assert_array_equal(y_got, y_want)
+
+    panel = mem.panel
+    fresh = panel @ panel.T
+    assert np.abs(mem.gram - fresh).max() <= 1e-13 * np.abs(fresh).max()
+    np.testing.assert_array_equal(mem.gram, mem.gram.T)
+
+    sigmas = [10.0 ** rng.uniform(-3, 3) for _ in range(2)]
+    assert_products_match(mem, rng, sigmas)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(2, 10), scale=st.floats(1e4, 1e6))
+def test_gamma_at_floor(seed, n, scale):
+    # s^T y = 1 passes the gate, while ||y||^2 = scale^2 >= 1e8 drives
+    # s^T y / ||y||^2 under sqrt(eps) for every drawn scale.
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    mem = PairMemory(n, 3)
+    for _ in range(2):
+        s = rng.standard_normal(n)
+        assert mem.try_update(s, spd_matrix(rng, n, 0.5, 2.0) @ s)
+    assert mem.try_update(u / scale, scale * u)
+    assert mem.gamma == SQRT_EPS
+    assert_products_match(mem, rng, sigmas=(1.0, 1e4))
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(2, 10), m=st.integers(1, 4), ulps=st.integers(1, 8))
+def test_shift_floor_edges(seed, n, m, ulps):
+    rng = np.random.default_rng(seed)
+    h = spd_matrix(rng, n)
+    mem = PairMemory(n, m)
+    while mem.m < m:
+        s = rng.standard_normal(n)
+        mem.try_update(s, h @ s)
+    gamma = mem.gamma
+
+    at = EPS / gamma
+    while gamma * at > EPS:
+        at = np.nextafter(at, 0.0)
+    for sigma in (at, at / 2.0, 0.0):
+        with pytest.raises(ShiftTooSmallError):
+            prepare(mem, sigma)
+
+    # Just above the floor the shift passes the precondition, but the first
+    # denominator 1 - ||a_0||^2 / (1 + gamma sigma) is about gamma sigma,
+    # far under DENOM_GUARD: the recursion must report breakdown.
+    above = at
+    while gamma * above <= EPS:
+        above = np.nextafter(above, math.inf)
+    for _ in range(ulps):
+        with pytest.raises(NumericalBreakdownError):
+            prepare(mem, above)
+        above = np.nextafter(above, math.inf)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(2, 10), upper=st.booleans())
+def test_curvature_gate_edges(seed, n, upper):
+    # With s = e_0 and y = t e_0 the product s^T y is exactly t, so the
+    # pair sits on the gate to the last bit; it also sets gamma = 1/t,
+    # the extreme base scale at each edge.
+    rng = np.random.default_rng(seed)
+    mem = PairMemory(n, 3)
+    for _ in range(2):
+        s = rng.standard_normal(n)
+        assert mem.try_update(s, spd_matrix(rng, n, 0.5, 2.0) @ s)
+    edge = 1.0 / SQRT_EPS if upper else SQRT_EPS
+    s = np.zeros(n)
+    s[0] = 1.0
+
+    version = mem.version
+    assert not mem.try_update(s, edge * s)
+    assert mem.version == version
+
+    inside = np.nextafter(edge, 1.0)
+    assert mem.try_update(s, inside * s)
+    assert mem.pairs[-1][1][0] == inside
+    assert_products_match(mem, rng, sigmas=(1e-2, 1.0, 1e2))
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    n=st.integers(3, 10),
+    log_eps=st.floats(-16.0, -4.0),
+    consistent=st.booleans(),
+    sigma=st.sampled_from([1e-6, 1e-2, 1.0, 1e2]),
+)
+def test_near_collinear_pairs_raise_or_match(seed, n, log_eps, consistent, sigma):
+    # A second step within 10^log_eps of the first (down to identical
+    # bits), with curvature from the same quadratic or a conflicting one:
+    # the panel is nearly rank-deficient, and the kernels must either
+    # raise the named breakdown or still agree with the dense oracle.
+    rng = np.random.default_rng(seed)
+    h = spd_matrix(rng, n)
+    h2 = h if consistent else spd_matrix(rng, n)
+    s = rng.standard_normal(n)
+    mem = PairMemory(n, 3)
+    assert mem.try_update(s, h @ s)
+    s2 = s + 10.0**log_eps * rng.standard_normal(n)
+    assert mem.try_update(s2, h2 @ s2)
+    try:
+        assert_products_match(mem, rng, sigmas=(sigma,))
+    except NumericalBreakdownError:
+        pass

@@ -29,7 +29,7 @@ def identity_pair_memory(n=3):
 def test_empty_memory_state():
     mem = PairMemory(4)
     state = prepare(mem, 1.0)
-    assert state.r.shape == (0, 4)
+    assert (state.r_coef @ mem.panel).shape == (0, 4)
     assert state.v.shape == (0,)
     assert state.base == pytest.approx(0.5)
     np.testing.assert_allclose(apply(state, mem, e(0, 4)), 0.5 * e(0, 4))
@@ -42,9 +42,10 @@ def test_hand_trace_single_pair():
     #   r1 = e1,     v1 = 1/(1 + 1)    = 1/2    (odd k, b-vector, sign +1)
     mem = identity_pair_memory()
     state = prepare(mem, 1.0)
-    np.testing.assert_allclose(state.r[0], 0.5 * e(0, 3))
+    r = state.r_coef @ mem.panel
+    np.testing.assert_allclose(r[0], 0.5 * e(0, 3))
     assert state.v[0] == pytest.approx(2.0)
-    np.testing.assert_allclose(state.r[1], e(0, 3))
+    np.testing.assert_allclose(r[1], e(0, 3))
     assert state.v[1] == pytest.approx(0.5)
     np.testing.assert_allclose(apply(state, mem, e(0, 3)), 0.5 * e(0, 3))
 
