@@ -6,9 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from xml.sax.saxutils import escape
 
@@ -99,22 +97,15 @@ def run_suite(
     problems: list[tuple[str, int]],
     config: TrConfig | None = None,
 ) -> list[RunRecord]:
-    """Run every solver on every (name, n) problem; rows sorted by
-    (problem, solver).  TRBENCH_THREADS caps the worker pool.
+    """Run every solver on every (name, n) problem, one run at a time, so
+    each run's ``time_sec`` measures that run alone; rows sorted by
+    (problem, n, solver).
     """
     if config is None:
         config = TrConfig()
-    tasks = [(name, n, solver) for name, n in problems for solver in solvers]
-    env_cap = os.environ.get("TRBENCH_THREADS")
-    workers = int(env_cap) if env_cap else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(tasks))) if tasks else 1
-    if workers == 1:
-        records = [_run_one(name, n, solver, config) for name, n, solver in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda t: _run_one(t[0], t[1], t[2], config), tasks)
-            )
+    records = [
+        _run_one(name, n, solver, config) for name, n in problems for solver in solvers
+    ]
     records.sort(key=lambda r: (r.problem, r.n, r.solver))
     return records
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ModelInconsistencyError
 from .memory import EPS, PairMemory
 from .problems import ProblemInstance
-from .subproblem import MssOptions, Subproblem, mss_solve, steihaug_solve
+from .subproblem import Subproblem, mss_solve, steihaug_solve
 
 CONVERGED = "converged"
 RADIUS_TOO_SMALL = "radius_too_small"
@@ -130,20 +130,8 @@ def minimize(
     accepted_steps = 0
     rejected_steps = 0
     iteration = 0
-
-    if config.solver == "mss":
-        mss_opts = MssOptions(max_iterations=min(n, 100))
-
-        def solve(sub):
-            return mss_solve(mem, sub, mss_opts)
-
-    else:
-
-        def solve(sub):
-            return steihaug_solve(
-                mem, sub, gradient_norm_at_x=float(np.linalg.norm(sub.g)),
-                max_iterations=min(n, 100),
-            )
+    # Bound per minimize() call, so a solver patched onto this module is used.
+    solve = mss_solve if config.solver == "mss" else steihaug_solve
 
     while True:
         gnorm = float(np.linalg.norm(g))
@@ -159,7 +147,7 @@ def minimize(
 
         iteration += 1
         t0 = time.perf_counter()
-        result = solve(Subproblem(g=g, delta=delta))
+        result = solve(mem, Subproblem(g=g, delta=delta))
         subproblem_time += time.perf_counter() - t0
         inner_total += result.inner_iterations
         p = result.p

@@ -59,13 +59,12 @@ class Subproblem:
 class MssOptions:
     """Stopping controls for :func:`mss_solve`.
 
-    tau_ms is the relative boundary tolerance |(||p|| - delta)| <= tau_ms*delta;
-    sigma values at or below sqrt(eps_sigma) are snapped to zero and solved
-    unshifted.  max_iterations defaults to min(n, 100) at solve time.
+    tau_ms is the relative boundary tolerance |(||p|| - delta)| <= tau_ms*delta.
+    max_iterations defaults to min(n, 100) at solve time.  Shifts at or
+    below sqrt(eps) are always snapped to zero and solved unshifted.
     """
 
     tau_ms: float = SQRT_EPS
-    eps_sigma: float = EPS
     max_iterations: int | None = None
 
 
@@ -125,10 +124,6 @@ def newton_sigma_update(sigma: float, p, p_hat, delta: float) -> float:
     return float(sigma) - value / slope
 
 
-def _model_reduction(mem: PairMemory, g: np.ndarray, p: np.ndarray) -> float:
-    return float(-(g @ p) - 0.5 * (p @ mem.multiply(p)))
-
-
 def mss_solve(
     mem: PairMemory, sp: Subproblem, opts: MssOptions | None = None
 ) -> SubproblemResult:
@@ -138,9 +133,12 @@ def mss_solve(
     when inside the region).  Otherwise alternates: solve
     (B + sigma I) p_hat = -p for the derivative of the pole function,
     take a Newton step in sigma, then re-solve (B + sigma I) p = -g.
-    Shifts at or below sqrt(eps_sigma) are snapped to zero and handled by
-    the compact inverse product; larger shifts reuse one prepared
-    recursion state for both solves at that sigma.
+    Shifts at or below sqrt(eps) are snapped to zero and handled by the
+    compact inverse product; larger shifts reuse one prepared recursion
+    state for both solves at that sigma.  No forward product with B is
+    made: since (B + sigma I) p = -g holds for the returned pair, the
+    model reduction is (sigma ||p||^2 - g^T p)/2, a sum of two
+    nonnegative terms.
 
     Returns a result with status "interior", "boundary", "max_iterations"
     (iteration cap hit, best iterate returned) or "breakdown" (recursion
@@ -155,7 +153,6 @@ def mss_solve(
     max_iterations = (
         opts.max_iterations if opts.max_iterations is not None else min(mem.n, 100)
     )
-    sqrt_eps_sigma = math.sqrt(opts.eps_sigma)
 
     sigma = 0.0
     p = -mem.inv_multiply(g)
@@ -168,7 +165,7 @@ def mss_solve(
             sigma=sigma,
             status=status,
             inner_iterations=iterations,
-            model_reduction=_model_reduction(mem, g, p),
+            model_reduction=0.5 * (sigma * p_norm**2 - float(g @ p)),
         )
 
     if p_norm <= delta:
@@ -191,14 +188,15 @@ def mss_solve(
                 # Newton stays in [0, sigma*] for SPD B; a negative step
                 # means the iteration has lost its footing.
                 return finish(BREAKDOWN)
-            if sigma_new > sqrt_eps_sigma:
-                sigma = sigma_new
-                state = shifted_prepare(mem, sigma)
-                p = shifted_apply(state, mem, -g)
+            # sigma and state change only once the new p exists, so a
+            # breakdown returns a pair (sigma, p) that solves the system.
+            if sigma_new > SQRT_EPS:
+                state_new = shifted_prepare(mem, sigma_new)
+                p_new = shifted_apply(state_new, mem, -g)
             else:
-                sigma = 0.0
-                state = None
-                p = -mem.inv_multiply(g)
+                sigma_new, state_new = 0.0, None
+                p_new = -mem.inv_multiply(g)
+            sigma, state, p = sigma_new, state_new, p_new
         except (NumericalBreakdownError, DegenerateDerivativeError, ShiftTooSmallError):
             return finish(BREAKDOWN)
         p_norm = float(np.linalg.norm(p))
@@ -220,16 +218,17 @@ def _boundary_step(p: np.ndarray, d: np.ndarray, delta: float) -> float:
 def steihaug_solve(
     mem: PairMemory,
     sp: Subproblem,
-    gradient_norm_at_x: float | None = None,
     max_iterations: int | None = None,
 ) -> SubproblemResult:
     """Truncated conjugate gradients on B p = -g inside the region.
 
     CG starts from p = 0 and stops at the first of: residual small enough
-    (||r|| <= ||g(x)|| * min(0.1, ||g(x)||^0.1)), an iterate crossing the
+    (||r|| <= ||g|| * min(0.1, ||g||^0.1)), an iterate crossing the
     boundary (step truncated to the sphere), negative curvature (cannot
     occur for SPD B, guarded anyway), or the iteration cap
-    (default min(n, 100)).  Costs one product with B per iteration.
+    (default min(n, 100)).  Costs one product with B per iteration; the
+    model value g^T p + 0.5 p^T B p is advanced along each step t d from
+    the residual r = g + B p and the curvature d^T B d already at hand.
 
     The multiplier is always reported as 0; a boundary exit carries
     status "boundary" without polishing the boundary equation.
@@ -240,16 +239,13 @@ def steihaug_solve(
     delta = sp.delta
     if max_iterations is None:
         max_iterations = min(mem.n, 100)
-    gnorm = (
-        float(gradient_norm_at_x)
-        if gradient_norm_at_x is not None
-        else float(np.linalg.norm(g))
-    )
+    gnorm = float(np.linalg.norm(g))
     tolerance = gnorm * min(0.1, gnorm**0.1) if gnorm > 0.0 else 0.0
 
     p = np.zeros(mem.n)
     r = g.copy()
     rr = float(r @ r)
+    q = 0.0  # model value g^T p + 0.5 p^T B p at the current p
     iterations = 0
     status = MAX_ITERATIONS
     if math.sqrt(rr) <= tolerance:
@@ -260,16 +256,17 @@ def steihaug_solve(
             bd = mem.multiply(d)
             iterations += 1
             curvature = float(d @ bd)
-            if curvature <= 0.0:
-                p = p + _boundary_step(p, d, delta) * d
+            if curvature > 0.0:
+                alpha = rr / curvature
+                p_trial = p + alpha * d
+            if curvature <= 0.0 or float(np.linalg.norm(p_trial)) > delta:
+                # Negative curvature or a step out of the region: stop on the sphere.
+                t = _boundary_step(p, d, delta)
+                q += t * float(r @ d) + 0.5 * t**2 * curvature
+                p = p + t * d
                 status = BOUNDARY
                 break
-            alpha = rr / curvature
-            p_trial = p + alpha * d
-            if float(np.linalg.norm(p_trial)) > delta:
-                p = p + _boundary_step(p, d, delta) * d
-                status = BOUNDARY
-                break
+            q += alpha * float(r @ d) + 0.5 * alpha**2 * curvature
             p = p_trial
             r = r + alpha * bd
             rr_new = float(r @ r)
@@ -284,7 +281,7 @@ def steihaug_solve(
         sigma=0.0,
         status=status,
         inner_iterations=iterations,
-        model_reduction=_model_reduction(mem, g, p),
+        model_reduction=-q,
     )
 
 

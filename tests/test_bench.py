@@ -55,6 +55,7 @@ class TestRunSuite:
         keys = [(r.problem, r.solver) for r in records]
         assert keys == sorted(keys)
         assert all(r.fe >= 1 for r in records)
+        assert all(r.status == "converged" for r in records)
 
     def test_deterministic_except_time(self):
         first = run_suite(["mss"], [("woods", 12), ("cosine", 10)])
@@ -103,14 +104,6 @@ class TestRunSuite:
         assert [r.status for r in records] == ["error"]
         assert records[0].fe == 1  # only the starting point was evaluated
         assert math.isnan(records[0].time_sec)
-
-    def test_thread_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("TRBENCH_THREADS", "2")
-        records = run_suite(
-            ["mss", "steihaug"], [("dqdrtic", 12), ("power", 10)]
-        )
-        assert len(records) == 4
-        assert all(r.status == "converged" for r in records)
 
 
 class TestPerformanceProfile:

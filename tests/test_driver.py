@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from trbench import (
+    BOUNDARY,
     CONVERGED,
     EPS,
+    INTERIOR,
+    MAX_ITERATIONS,
     ModelInconsistencyError,
+    MssOptions,
     PairMemory,
     ProblemInstance,
     Subproblem,
@@ -15,6 +19,7 @@ from trbench import (
     minimize,
     mss_solve,
     rho,
+    steihaug_solve,
 )
 from trbench.diagnostics import random_memory
 
@@ -62,12 +67,23 @@ class TestRho:
         p = -0.1 * g
         assert rho(1.0, 1.0, predicted_reduction(mem, g, p)) == 0.0
 
-    def test_denominator_matches_dense_model(self, rng):
+    @pytest.mark.parametrize("status", [INTERIOR, BOUNDARY, MAX_ITERATIONS])
+    @pytest.mark.parametrize("solver", ["mss", "steihaug"])
+    def test_denominator_matches_dense_model(self, rng, solver, status):
         # The driver divides by the solver's model_reduction; it must be
-        # the dense model's prediction for the returned step.
+        # the dense model's prediction for the returned step, on every exit.
         mem = random_memory(rng, 12, 4)
         g = rng.standard_normal(12)
-        result = mss_solve(mem, Subproblem(g=g, delta=0.05 * float(np.linalg.norm(g))))
+        # A cap of one iteration stops mss on its way to the boundary and
+        # steihaug on its way to the interior minimizer.
+        wide = status == INTERIOR or (status == MAX_ITERATIONS and solver == "steihaug")
+        sp = Subproblem(g=g, delta=(1e3 if wide else 0.05) * float(np.linalg.norm(g)))
+        cap = 1 if status == MAX_ITERATIONS else None
+        if solver == "mss":
+            result = mss_solve(mem, sp, MssOptions(max_iterations=cap))
+        else:
+            result = steihaug_solve(mem, sp, max_iterations=cap)
+        assert result.status == status
         p = result.p
         dense = mem.materialize_dense()
         predicted = float(-(g @ p) - 0.5 * (p @ dense @ p))

@@ -3,10 +3,12 @@ import pytest
 
 from trbench import (
     BOUNDARY,
+    BREAKDOWN,
     INTERIOR,
     SQRT_EPS,
     DegenerateDerivativeError,
     MssOptions,
+    NumericalBreakdownError,
     PairMemory,
     Subproblem,
     check_optimality,
@@ -164,6 +166,33 @@ class TestMssSolve:
         assert result.status == "max_iterations"
         assert result.inner_iterations == 1
         assert np.all(np.isfinite(result.p))
+
+    def test_breakdown_returns_sigma_that_p_solves(self, rng, monkeypatch):
+        # The recursion fails while preparing the second shift: the result
+        # must pair the last p with the sigma it was solved at, not with the
+        # Newton step that could not be prepared.
+        import trbench.subproblem as subproblem_mod
+
+        real_prepare = subproblem_mod.shifted_prepare
+        calls = []
+
+        def failing_prepare(mem, sigma):
+            calls.append(sigma)
+            if len(calls) == 2:
+                raise NumericalBreakdownError("synthetic recursion failure")
+            return real_prepare(mem, sigma)
+
+        monkeypatch.setattr(subproblem_mod, "shifted_prepare", failing_prepare)
+        mem, sp = boundary_instance(rng, 30, 5)
+        result = mss_solve(mem, sp)
+        assert result.status == BREAKDOWN
+        assert len(calls) == 2
+        assert result.sigma == calls[0]
+        report = check_optimality(mem, result, sp, tol=1e-10)
+        assert report.residual <= 1e-10
+        p = result.p
+        dense = float(-(sp.g @ p) - 0.5 * (p @ mem.materialize_dense() @ p))
+        assert result.model_reduction == pytest.approx(dense, rel=1e-10)
 
 
 class TestSteihaug:
