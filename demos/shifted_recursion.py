@@ -21,7 +21,7 @@ while mem.m < 7:
 dense = mem.materialize_dense()
 print(f"memory: n={n}, m={mem.m}, gamma={mem.gamma:.4f}")
 print(f"{'sigma':>10} {'forward residual':>18} {'vs dense LU':>14}")
-for sigma in (1e-6, 1e-3, 1e-1, 1.0, 1e2, 1e4, 1e6):
+for sigma in (0.0, 1e-6, 1e-3, 1e-1, 1.0, 1e2, 1e4, 1e6):
     state = prepare(mem, sigma)  # O(M^3) once per shift
     worst_fwd = 0.0
     worst_lu = 0.0

@@ -31,7 +31,6 @@ from .errors import (
     DegenerateDerivativeError,
     ModelInconsistencyError,
     NumericalBreakdownError,
-    ShiftTooSmallError,
 )
 from .memory import EPS, SQRT_EPS, AbVectors, PairMemory
 from .problems import PROBLEM_NAMES, ProblemInstance, fd_gradient_check, make
@@ -77,7 +76,6 @@ __all__ = [
     "RADIUS_TOO_SMALL",
     "RunRecord",
     "SQRT_EPS",
-    "ShiftTooSmallError",
     "ShiftedRecursionState",
     "Subproblem",
     "SubproblemResult",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import SQRT_EPS, PairMemory
+from .memory import PairMemory
 from .problems import PROBLEM_NAMES, fd_gradient_check, make
 from .shifted import solve_shifted
 from .subproblem import (
@@ -103,9 +103,7 @@ def check_shifted(seed: int = 2, trials: int = 20) -> CheckResult:
         mem = random_memory(rng, n, m)
         dense = mem.materialize_dense()
         y = rng.standard_normal(n)
-        for sigma in (1e-4, 1.0, 1e2, 1e4):
-            if mem.gamma * sigma <= SQRT_EPS:
-                continue
+        for sigma in (0.0, 1e-4, 1.0, 1e2, 1e4):
             want = np.linalg.solve(dense + sigma * np.eye(n), y)
             worst = max(worst, _rel_err(solve_shifted(mem, sigma, y), want))
     return CheckResult("shifted recursion vs dense LU", worst <= 1e-8, worst, 1e-8)

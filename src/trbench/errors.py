@@ -1,13 +1,6 @@
 """Exception types shared across the solver stack."""
 
 
-class ShiftTooSmallError(ValueError):
-    """gamma * sigma is below the stability floor of the shifted recursion.
-
-    Callers should fall back to the unshifted inverse product.
-    """
-
-
 class NumericalBreakdownError(ArithmeticError):
     """A recursion denominator lost positivity or fell under the guard."""
 

@@ -70,7 +70,7 @@ class PairMemory:
     gate sqrt(eps) < s^T y < 1/sqrt(eps); accepted pairs overwrite the
     oldest slot once ``capacity`` is reached.  gamma is refreshed from the
     newest pair as s^T y / ||y||^2 and thresholded from below by
-    sqrt(eps) so that the shifted recursion stays stable.  Before any
+    sqrt(eps), which bounds ||B0|| by 1/sqrt(eps).  Before any
     update B is the identity (gamma = 1).
 
     Slot j occupies panel rows 2j (s) and 2j + 1 (y).  Slots fill in

@@ -22,11 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateDerivativeError,
-    NumericalBreakdownError,
-    ShiftTooSmallError,
-)
+from .errors import DegenerateDerivativeError, NumericalBreakdownError
 from .memory import EPS, SQRT_EPS, PairMemory
 from .shifted import apply as shifted_apply
 from .shifted import prepare as shifted_prepare
@@ -60,8 +56,7 @@ class MssOptions:
     """Stopping controls for :func:`mss_solve`.
 
     tau_ms is the relative boundary tolerance |(||p|| - delta)| <= tau_ms*delta.
-    max_iterations defaults to min(n, 100) at solve time.  Shifts at or
-    below sqrt(eps) are always snapped to zero and solved unshifted.
+    max_iterations defaults to min(n, 100) at solve time.
     """
 
     tau_ms: float = SQRT_EPS
@@ -133,9 +128,9 @@ def mss_solve(
     when inside the region).  Otherwise alternates: solve
     (B + sigma I) p_hat = -p for the derivative of the pole function,
     take a Newton step in sigma, then re-solve (B + sigma I) p = -g.
-    Shifts at or below sqrt(eps) are snapped to zero and handled by the
-    compact inverse product; larger shifts reuse one prepared recursion
-    state for both solves at that sigma.  No forward product with B is
+    The sigma = 0 start uses the compact inverse product; every Newton
+    iterate, however small its sigma, prepares one recursion state and
+    reuses it for both solves at that sigma.  No forward product with B is
     made: since (B + sigma I) p = -g holds for the returned pair, the
     model reduction is (sigma ||p||^2 - g^T p)/2, a sum of two
     nonnegative terms.
@@ -171,7 +166,7 @@ def mss_solve(
     if p_norm <= delta:
         return finish(INTERIOR)
 
-    state = None  # prepared recursion state for the current sigma (> threshold)
+    state = None  # recursion state prepared at sigma; None at the sigma = 0 start
     while abs(p_norm - delta) > opts.tau_ms * delta:
         if iterations >= max_iterations:
             return finish(MAX_ITERATIONS)
@@ -190,14 +185,10 @@ def mss_solve(
                 return finish(BREAKDOWN)
             # sigma and state change only once the new p exists, so a
             # breakdown returns a pair (sigma, p) that solves the system.
-            if sigma_new > SQRT_EPS:
-                state_new = shifted_prepare(mem, sigma_new)
-                p_new = shifted_apply(state_new, mem, -g)
-            else:
-                sigma_new, state_new = 0.0, None
-                p_new = -mem.inv_multiply(g)
+            state_new = shifted_prepare(mem, sigma_new)
+            p_new = shifted_apply(state_new, mem, -g)
             sigma, state, p = sigma_new, state_new, p_new
-        except (NumericalBreakdownError, DegenerateDerivativeError, ShiftTooSmallError):
+        except (NumericalBreakdownError, DegenerateDerivativeError):
             return finish(BREAKDOWN)
         p_norm = float(np.linalg.norm(p))
     return finish(BOUNDARY)

@@ -1,12 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from trbench import (
-    EPS,
-    SQRT_EPS,
     NumericalBreakdownError,
     PairMemory,
-    ShiftTooSmallError,
     apply,
     prepare,
     solve_shifted,
@@ -38,15 +38,15 @@ def test_empty_memory_state():
 def test_hand_trace_single_pair():
     # s = y = e1, gamma = 1 gives a = b = e1 and B = I, so (B + I)^{-1}
     # halves e1.  Executing the recursion by hand for k = 0, 1:
-    #   r0 = e1/2,   v0 = 1/(1 - 1/2)  = 2      (even k, a-vector, sign -1)
-    #   r1 = e1,     v1 = 1/(1 + 1)    = 1/2    (odd k, b-vector, sign +1)
+    #   r0 = e1/2,   v0 = 1/(1 + 1/2)  = 2/3    (even k, b-vector, sign -1)
+    #   r1 = e1/3,   v1 = 1/(1 - 1/3)  = 3/2    (odd k, a-vector, sign +1)
     mem = identity_pair_memory()
     state = prepare(mem, 1.0)
     r = state.r_coef @ mem.panel
     np.testing.assert_allclose(r[0], 0.5 * e(0, 3))
-    assert state.v[0] == pytest.approx(2.0)
-    np.testing.assert_allclose(r[1], e(0, 3))
-    assert state.v[1] == pytest.approx(0.5)
+    assert state.v[0] == pytest.approx(2.0 / 3.0)
+    np.testing.assert_allclose(r[1], e(0, 3) / 3.0)
+    assert state.v[1] == pytest.approx(1.5)
     np.testing.assert_allclose(apply(state, mem, e(0, 3)), 0.5 * e(0, 3))
 
 
@@ -106,26 +106,22 @@ def test_small_shift_continuity(rng):
     assert gaps[1e-7] <= 2.0 * kappa * 1e-7
 
 
-def test_shift_too_small_rejected():
-    mem = identity_pair_memory()
-    with pytest.raises(ShiftTooSmallError):
-        prepare(mem, 0.0)
-    with pytest.raises(ShiftTooSmallError):
-        prepare(mem, EPS / 2.0)  # gamma = 1, so gamma*sigma <= eps
-
-
-def test_negative_shift_rejected():
+@pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+def test_negative_shift_rejected(sigma):
     with pytest.raises(ValueError):
-        prepare(identity_pair_memory(), -1.0)
+        prepare(identity_pair_memory(), sigma)
 
 
 def test_denominator_guard_trips():
-    # gamma*sigma just above eps passes the precondition, but the k = 0
-    # denominator 1 - ||a0||^2/(1 + sigma) collapses to ~sigma, under the
-    # 1e3*eps guard.
+    # Scaling a_0 by sqrt(3) makes the a-term 3 e1 e1^T, all that
+    # B0 + b_0 b_0^T + I holds along e1: r_1 = sqrt(3) e1 / 3 and the k = 1
+    # denominator 1 - r_1^T a_0 is zero up to rounding (about 1e-16), so
+    # the 1e3*eps guard must report breakdown rather than divide.
     mem = identity_pair_memory()
+    ab = mem.ab_vectors()
+    mem._ab = dataclasses.replace(ab, a_coef=math.sqrt(3.0) * ab.a_coef)
     with pytest.raises(NumericalBreakdownError):
-        prepare(mem, 1e-14)
+        prepare(mem, 1.0)
 
 
 def test_stale_state_rejected(rng):
@@ -135,6 +131,20 @@ def test_stale_state_rejected(rng):
     assert mem.try_update(s, s)
     with pytest.raises(ValueError):
         apply(state, mem, np.ones(6))
+
+
+def test_state_from_other_memory_rejected():
+    # Same dimension, both at version 1: only the memory's identity tells
+    # the states apart, and A's state applied to B solves the wrong system.
+    n = 4
+    mem_a = PairMemory(n)
+    assert mem_a.try_update(e(0, n), np.array([3.0, 1.0, 0.0, 0.0]))
+    mem_b = PairMemory(n)
+    assert mem_b.try_update(np.ones(n), 2.0 * np.ones(n))  # B 1 = 2 * 1
+    assert mem_a.version == mem_b.version == 1
+    with pytest.raises(ValueError):
+        apply(prepare(mem_a, 1.0), mem_b, np.ones(n))
+    np.testing.assert_allclose(apply(prepare(mem_b, 1.0), mem_b, np.ones(n)), np.ones(n) / 3.0)
 
 
 def test_dimension_mismatch(rng):
@@ -149,9 +159,7 @@ def test_oracle_equivalence_sweep(rng):
         mem = random_memory(rng, n, m)
         dense = mem.materialize_dense()
         y = rng.standard_normal(n)
-        for sigma in (1e-2, 1.0, 1e2, 1e4):
-            if mem.gamma * sigma < SQRT_EPS:
-                continue
+        for sigma in (0.0, 1e-2, 1.0, 1e2, 1e4):
             want = np.linalg.solve(dense + sigma * np.eye(n), y)
             got = solve_shifted(mem, sigma, y)
             assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)

@@ -139,8 +139,8 @@ class TestMssSolve:
             assert abs(result.sigma - sigma_ref) <= 1e-6 * max(1.0, sigma_ref)
 
     def test_boundary_accuracy_and_sigma_reset_domain(self, rng):
-        # sigma is either exactly zero or clearly above the snap threshold,
-        # and boundary exits respect the tau_ms tolerance.
+        # Boundary exits respect the tau_ms tolerance, and every result,
+        # whatever its sigma, passes the optimality certificate.
         for delta in (1e-3, 1.0, 1e3):
             for _ in range(10):
                 n = int(rng.integers(10, 80))
@@ -148,7 +148,6 @@ class TestMssSolve:
                 g = rng.standard_normal(n)
                 g *= (20.0 * delta) / np.linalg.norm(g)
                 result = mss_solve(mem, Subproblem(g=g, delta=delta))
-                assert result.sigma == 0.0 or result.sigma > SQRT_EPS
                 if result.status == BOUNDARY:
                     assert abs(np.linalg.norm(result.p) - delta) <= SQRT_EPS * delta
                 report = check_optimality(
