@@ -27,7 +27,7 @@ for sigma in (0.0, 1e-6, 1e-3, 1e-1, 1.0, 1e2, 1e4, 1e6):
     worst_lu = 0.0
     for _ in range(5):
         y = rng.standard_normal(n)
-        x = apply(state, mem, y)  # O(M n) per right-hand side
+        x = apply(state, y)  # O(M n) per right-hand side
         worst_fwd = max(
             worst_fwd,
             np.linalg.norm(mem.multiply(x) + sigma * x - y) / np.linalg.norm(y),

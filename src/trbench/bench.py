@@ -22,7 +22,7 @@ ERROR = "error"
 
 CSV_HEADER = [
     "problem", "n", "solver", "status", "time_sec",
-    "fe", "ge", "inner_iters", "f_final", "gnorm_final",
+    "fe", "inner_iters", "f_final", "gnorm_final",
 ]
 
 
@@ -36,7 +36,6 @@ class RunRecord:
     status: str
     time_sec: float
     fe: int
-    ge: int
     inner_iters: int
     f_final: float
     gnorm_final: float
@@ -81,12 +80,12 @@ def _run_one(name: str, n: int, solver: str, config: TrConfig) -> RunRecord:
         # counts, and leave the time unknown rather than zero.
         return RunRecord(
             problem=name, n=n, solver=solver, status=ERROR,
-            time_sec=math.nan, fe=counter["fe"], ge=counter["fe"], inner_iters=0,
+            time_sec=math.nan, fe=counter["fe"], inner_iters=0,
             f_final=math.nan, gnorm_final=math.nan,
         )
     return RunRecord(
         problem=name, n=n, solver=solver, status=result.status,
-        time_sec=result.subproblem_time, fe=result.fe_count, ge=result.ge_count,
+        time_sec=result.subproblem_time, fe=result.fe_count,
         inner_iters=result.inner_iterations_total, f_final=result.f_final,
         gnorm_final=result.gnorm_final,
     )
@@ -193,7 +192,7 @@ def write_csv(records: list[RunRecord], path) -> None:
             writer.writerow(
                 [
                     r.problem, r.n, r.solver, r.status, repr(float(r.time_sec)),
-                    r.fe, r.ge, r.inner_iters, repr(float(r.f_final)),
+                    r.fe, r.inner_iters, repr(float(r.f_final)),
                     repr(float(r.gnorm_final)),
                 ]
             )
@@ -216,9 +215,9 @@ def read_csv(path) -> list[RunRecord]:
                 records.append(
                     RunRecord(
                         problem=row[0], n=int(row[1]), solver=row[2], status=row[3],
-                        time_sec=float(row[4]), fe=int(row[5]), ge=int(row[6]),
-                        inner_iters=int(row[7]), f_final=float(row[8]),
-                        gnorm_final=float(row[9]),
+                        time_sec=float(row[4]), fe=int(row[5]),
+                        inner_iters=int(row[6]), f_final=float(row[7]),
+                        gnorm_final=float(row[8]),
                     )
                 )
             except ValueError as exc:

@@ -75,7 +75,6 @@ class TrResult:
     gnorm_final: float
     status: str
     fe_count: int
-    ge_count: int
     inner_iterations_total: int
     subproblem_time: float
     accepted_steps: int
@@ -205,7 +204,6 @@ def minimize(
         gnorm_final=float(np.linalg.norm(g)),
         status=status,
         fe_count=fe_count,
-        ge_count=fe_count,
         inner_iterations_total=inner_total,
         subproblem_time=subproblem_time,
         accepted_steps=accepted_steps,

@@ -11,15 +11,15 @@ where B_i is the matrix after the first i updates.
 
 The pairs live in one ring-buffered panel P whose rows are s and y of
 each slot, next to its Gram matrix G = P P^T.  Every a_i and b_i is a
-coefficient row over P (row i of W_a and W_b), so both products take the
-compact form of Byrd, Nocedal & Schnabel (1994):
+coefficient row over P (a row of C, with weight w = +1 for b_i and -1
+for a_i), so both products take the compact form of Byrd, Nocedal &
+Schnabel (1994):
 
-    B v      = gamma^{-1} v + P^T K_B (P v),   K_B = W_b^T W_b - W_a^T W_a,
-    B^{-1} v = gamma v      + P^T K_H (P v),
+    B v      = gamma^{-1} v + P^T C^T diag(w) C (P v)   (:func:`panel_apply`),
+    B^{-1} v = gamma v      + P^T K_H (P v).
 
-with small kernels; K_B is applied through its factors.  Costs: O(M n) to
-update G per accepted pair, O(M^3) to build the factors (no n-length
-work), O(M n) per product.
+Costs: O(M n) to update G per accepted pair, O(M^3) to build C and K_H
+(no n-length work), O(M n) per product.
 """
 
 from __future__ import annotations
@@ -35,32 +35,38 @@ EPS = float(np.finfo(float).eps)
 SQRT_EPS = math.sqrt(EPS)
 
 
+def panel_apply(panel, base, rows, weights, y) -> np.ndarray:
+    """Return base * y + P^T (sum_k weights[k] (rows[k] . P y) rows[k]).
+
+    The one kernel of ``B v`` and every prepared shifted solve.  It is
+    applied through its factors, never as an assembled C^T diag(w) C: when
+    panel rows are nearly dependent the coefficients grow, and assembling
+    would square that growth where the factors only carry it once.
+    """
+    x = base * y
+    if rows.size:
+        x += panel.T @ ((weights * (rows @ (panel @ y))) @ rows)
+    return x
+
+
 @dataclass(frozen=True)
 class AbVectors:
-    """The a/b factors of a pair memory as coefficient rows over its panel.
+    """The rank-one terms of a pair memory as coefficient rows over its panel.
 
-    Row i of ``a_coef`` = W_a (``b_coef`` = W_b) holds the coefficients of
-    a_i (b_i) over the rows of :attr:`PairMemory.panel`, so that
-    a_i = a_coef[i] @ panel; rows run oldest pair first.  ``s_bs`` and
-    ``y_s`` keep the normalization denominators s_i^T B_i s_i and
-    y_i^T s_i (both positive) for diagnostics.  ``k_h`` is the kernel of
-    the inverse product over the panel.
-
-    The forward kernel K_B = W_b^T W_b - W_a^T W_a is kept in factored
-    form: when panel rows are nearly dependent the coefficients grow, and
-    one assembled K_B would square that growth where the factors only
-    carry it once.
+    ``rows`` (2m x 2m) holds b_0, a_0, b_1, a_1, ... (oldest pair first,
+    the fold order of the shifted recursion) over the rows of
+    :attr:`PairMemory.panel`: b_i = rows[2i] @ panel, a_i = rows[2i + 1]
+    @ panel.  ``weights`` (+1, -1, ...) are their signs in B, and ``k_h``
+    is the kernel of the inverse product.
     """
 
-    a_coef: np.ndarray
-    b_coef: np.ndarray
-    s_bs: np.ndarray
-    y_s: np.ndarray
+    rows: np.ndarray
+    weights: np.ndarray
     k_h: np.ndarray
 
     @property
     def m(self) -> int:
-        return self.a_coef.shape[0]
+        return self.rows.shape[0] // 2
 
 
 class PairMemory:
@@ -190,12 +196,8 @@ class PairMemory:
         """Return B v = v / gamma - sum a_i (a_i^T v) + sum b_i (b_i^T v)."""
         v = self._check_dim(v, "v")
         ab = self.ab_vectors()
-        r = v / self._gamma
-        if ab.m:
-            panel = self._panel[: 2 * self._m]
-            u = panel @ v
-            r += panel.T @ (ab.b_coef.T @ (ab.b_coef @ u) - ab.a_coef.T @ (ab.a_coef @ u))
-        return r
+        panel = self._panel[: 2 * self._m]
+        return panel_apply(panel, 1.0 / self._gamma, ab.rows, ab.weights, v)
 
     def ab_vectors(self) -> AbVectors:
         """Return the cached factors, rebuilding after any mutation.
@@ -215,7 +217,6 @@ class PairMemory:
         y_rows = s_rows + 1
         a = np.zeros((m, k))
         b = np.zeros((m, k))
-        s_bs = np.zeros(m)
         y_s = gram[s_rows, y_rows]
         ginv = 1.0 / self._gamma
         for i, (si, yi) in enumerate(zip(s_rows, y_rows)):
@@ -233,7 +234,6 @@ class PairMemory:
                 )
             a[i] = bs / math.sqrt(sbs)
             b[i, yi] = 1.0 / math.sqrt(y_s[i])
-            s_bs[i] = sbs
 
         # Compact inverse (Byrd, Nocedal & Schnabel 1994, eq. 2.6) with
         # R = triu(S^T Y) and D = diag(S^T Y), both oldest pair first.
@@ -244,13 +244,16 @@ class PairMemory:
             k_h[np.ix_(s_rows, s_rows)] = r_inv.T @ (np.diag(y_s) + self._gamma * yy) @ r_inv
             k_h[np.ix_(s_rows, y_rows)] = -self._gamma * r_inv.T
             k_h[np.ix_(y_rows, s_rows)] = -self._gamma * r_inv
-        return AbVectors(a_coef=a, b_coef=b, s_bs=s_bs, y_s=y_s, k_h=k_h)
+        rows = np.empty((k, k))
+        rows[0::2] = b
+        rows[1::2] = a
+        return AbVectors(rows=rows, weights=np.tile([1.0, -1.0], m), k_h=k_h)
 
     def materialize_dense(self) -> np.ndarray:
         """Form B explicitly as an n x n array.  Test oracle, small n only."""
         ab = self.ab_vectors()
-        a = ab.a_coef @ self.panel
-        b = ab.b_coef @ self.panel
+        a = ab.rows[1::2] @ self.panel
+        b = ab.rows[0::2] @ self.panel
         dense = np.eye(self.n) / self._gamma
         for i in range(ab.m):
             dense -= np.outer(a[i], a[i])

@@ -18,16 +18,19 @@ Each pair's b-term is folded before its a-term, so every intermediate
 matrix is B_i + b_i b_i^T + sigma I or B_{i+1} + sigma I: SPD for every
 sigma >= 0, since each B_i is.  No partial sum is singular at sigma = 0
 (folding a_i first would pass through B_i - a_i a_i^T + sigma I, and
-(B_i - a_i a_i^T) s_i = 0), so rounding grows with the conditioning of
-these L-BFGS systems themselves rather than like 1/sigma, and sigma = 0
-needs no special case.
+(B_i - a_i a_i^T) s_i = 0), so sigma = 0 needs no special case.  The
+error does not follow the conditioning of B + sigma I alone, though:
+when gamma is large (a newest pair of tiny curvature y^T y / s^T y) it
+grows roughly like cond(B + sigma I)^2 eps.  With gamma near 6e7, the
+lower edge of the curvature gate, small shifts were measured 5e4 times
+further off than a rounding bound proportional to cond(B + sigma I).
 
 Every c_k, and hence every r_k, lies in the span of the memory's panel P,
 so the recursion runs on coefficient rows over P with each inner product
 read from the Gram matrix G = P P^T.  Preparing a shift costs O(M^3) with
 no n-length work; each solve is base * y + P^T K_sigma (P y), O(M n), with
 K_sigma = sum_k (-1)^{k+1} v_k w_k^T w_k for the coefficient rows w_k of
-r_k, applied through those factors.
+r_k, applied through those factors by :func:`~trbench.memory.panel_apply`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalBreakdownError
-from .memory import EPS, PairMemory
+from .memory import EPS, PairMemory, panel_apply
 
 # Denominators 1 + (-1)^k r_k^T c_k below this magnitude are treated as
 # breakdown rather than propagated as huge v_k.
@@ -50,17 +53,16 @@ class ShiftedRecursionState:
     """Precomputed r_k / v_k data for one (memory, sigma) combination.
 
     ``r_coef`` holds the coefficients of each r_k over the memory's panel
-    (r_k = r_coef[k] @ mem.panel).  Building the state costs O(M^3); each
-    solve against it costs O(M n), so repeated right-hand sides at the
-    same shift are cheap.  ``mem`` and ``mem_version`` name the memory and
-    the version of it the state was prepared from.
+    (r_k = r_coef[k] @ mem.panel) and ``weights`` the (-1)^{k+1} v_k.
+    Building the state costs O(M^3); each solve against it costs O(M n),
+    so repeated right-hand sides at the same shift are cheap.  ``mem`` is
+    the memory the state solves against, ``mem_version`` its version then.
     """
 
     sigma: float
     base: float  # (gamma^{-1} + sigma)^{-1}
     r_coef: np.ndarray  # (2m, 2m)
-    v: np.ndarray  # (2m,)
-    signs: np.ndarray  # (2m,), (-1)^{k+1}
+    weights: np.ndarray  # (2m,), (-1)^{k+1} v_k
     mem: PairMemory = field(repr=False)
     mem_version: int
 
@@ -69,64 +71,51 @@ def prepare(mem: PairMemory, sigma: float) -> ShiftedRecursionState:
     """Build the recursion state for solves with (B + sigma I), sigma >= 0.
 
     Each pair's +b_i b_i^T term is folded before its -a_i a_i^T term, so
-    every intermediate matrix is SPD and the result is as accurate as the
-    conditioning of those L-BFGS systems allows, down to sigma = 0.
-    Raises ValueError for a negative or non-finite sigma and
-    NumericalBreakdownError when a v_k denominator falls under the guard.
+    every intermediate matrix is SPD down to sigma = 0 (for the accuracy
+    at large gamma, see the module docstring).  Raises ValueError for a
+    negative or non-finite sigma and NumericalBreakdownError when a v_k
+    denominator falls under the guard.
     """
     sigma = float(sigma)
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"shift must be finite and nonnegative, got {sigma}")
     ab = mem.ab_vectors()
     base = 1.0 / (1.0 / mem.gamma + sigma)
-    k_total = 2 * ab.m
-    c = np.empty((k_total, k_total))  # coefficient rows of c_k: b_0, a_0, b_1, ...
-    c[0::2] = ab.b_coef
-    c[1::2] = ab.a_coef
+    c = ab.rows  # coefficient rows of c_k: b_0, a_0, b_1, ...
     gc = c @ mem.gram  # row k: inner products of c_k with every panel row
-    r = np.zeros((k_total, k_total))
-    v = np.zeros(k_total)
-    signs = np.where(np.arange(k_total) % 2 == 0, -1.0, 1.0)  # (-1)^{k+1}
-    sv = np.zeros(k_total)  # (-1)^{i+1} v_i, the weights used while building
-    for k in range(k_total):
+    r = np.zeros(c.shape)
+    weights = np.zeros(c.shape[0])  # (-1)^{k+1} v_k
+    for k in range(c.shape[0]):
         rk = base * c[k]
         if k:
-            rk = rk + (sv[:k] * (r[:k] @ gc[k])) @ r[:k]
-        denom = 1.0 + (-signs[k]) * float(rk @ gc[k])  # (-1)^k r_k^T c_k
+            rk = rk + (weights[:k] * (r[:k] @ gc[k])) @ r[:k]
+        denom = 1.0 + ab.weights[k] * float(rk @ gc[k])  # (-1)^k r_k^T c_k
         if abs(denom) < DENOM_GUARD:
             raise NumericalBreakdownError(
                 f"recursion denominator {denom:.3e} at step {k}"
             )
         r[k] = rk
-        v[k] = 1.0 / denom
-        sv[k] = signs[k] * v[k]
+        weights[k] = -ab.weights[k] / denom
     return ShiftedRecursionState(
-        sigma=sigma, base=base, r_coef=r, v=v, signs=signs,
+        sigma=sigma, base=base, r_coef=r, weights=weights,
         mem=mem, mem_version=mem.version,
     )
 
 
-def apply(state: ShiftedRecursionState, mem: PairMemory, y) -> np.ndarray:
-    """Return x with (B + sigma I) x = y using a prepared state.
+def apply(state: ShiftedRecursionState, y) -> np.ndarray:
+    """Return x with (B + sigma I) x = y for the state's memory and sigma.
 
-    The state must have been prepared from ``mem`` in its current form;
-    a state from another memory, or from before an update, is rejected.
+    A state from before an update of its memory is rejected.
     """
-    if state.mem is not mem:
-        raise ValueError("state was prepared from a different memory")
+    mem = state.mem
     if state.mem_version != mem.version:
         raise ValueError("state is stale: memory changed after prepare()")
     y = np.asarray(y, dtype=float)
     if y.shape != (mem.n,):
         raise ValueError(f"y has shape {y.shape}, expected ({mem.n},)")
-    x = state.base * y
-    if state.r_coef.size:
-        panel = mem.panel
-        weights = (state.signs * state.v) * (state.r_coef @ (panel @ y))
-        x += panel.T @ (weights @ state.r_coef)
-    return x
+    return panel_apply(mem.panel, state.base, state.r_coef, state.weights, y)
 
 
 def solve_shifted(mem: PairMemory, sigma: float, y) -> np.ndarray:
     """One-shot convenience: prepare at sigma and solve a single system."""
-    return apply(prepare(mem, sigma), mem, y)
+    return apply(prepare(mem, sigma), y)

@@ -175,7 +175,7 @@ def mss_solve(
             # p solved (B + sigma I) p = -g at the current sigma, so the
             # prepared state can be reused for the p_hat system.
             if state is not None:
-                p_hat = shifted_apply(state, mem, -p)
+                p_hat = shifted_apply(state, -p)
             else:
                 p_hat = -mem.inv_multiply(p)
             sigma_new = newton_sigma_update(sigma, p, p_hat, delta)
@@ -186,7 +186,7 @@ def mss_solve(
             # sigma and state change only once the new p exists, so a
             # breakdown returns a pair (sigma, p) that solves the system.
             state_new = shifted_prepare(mem, sigma_new)
-            p_new = shifted_apply(state_new, mem, -g)
+            p_new = shifted_apply(state_new, -g)
             sigma, state, p = sigma_new, state_new, p_new
         except (NumericalBreakdownError, DegenerateDerivativeError):
             return finish(BREAKDOWN)

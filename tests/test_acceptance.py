@@ -207,10 +207,10 @@ def test_criterion_7_directional_function_evaluation_totals(suite_records):
 
 def test_criterion_8_profile_correctness():
     records = [
-        RunRecord("p1", 10, "a", "converged", 0.1, 10, 10, 1, 0.0, 0.0),
-        RunRecord("p1", 10, "b", "converged", 0.1, 20, 20, 1, 0.0, 0.0),
-        RunRecord("p2", 10, "a", "converged", 0.1, 20, 20, 1, 0.0, 0.0),
-        RunRecord("p2", 10, "b", "converged", 0.1, 10, 10, 1, 0.0, 0.0),
+        RunRecord("p1", 10, "a", "converged", 0.1, 10, 1, 0.0, 0.0),
+        RunRecord("p1", 10, "b", "converged", 0.1, 20, 1, 0.0, 0.0),
+        RunRecord("p2", 10, "a", "converged", 0.1, 20, 1, 0.0, 0.0),
+        RunRecord("p2", 10, "b", "converged", 0.1, 10, 1, 0.0, 0.0),
     ]
     curves = performance_profile(records)
     exact = all(c.points == [(0.0, 0.5), (1.0, 1.0)] for c in curves)
@@ -230,7 +230,7 @@ def test_criterion_8_profile_correctness():
                 fuzz.append(
                     RunRecord(
                         f"p{p}", 10, f"s{s}", status, float(rng.random()),
-                        int(rng.integers(1, 500)), 1, 1, 0.0, 0.0,
+                        int(rng.integers(1, 500)), 1, 0.0, 0.0,
                     )
                 )
         if not any(r.status == "converged" for r in fuzz):

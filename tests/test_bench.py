@@ -21,7 +21,7 @@ from trbench.cli import main
 
 def record(problem="p1", n=10, solver="a", status="converged", fe=10, **kw):
     defaults = dict(
-        time_sec=0.5, ge=fe, inner_iters=3, f_final=1.25, gnorm_final=1e-6
+        time_sec=0.5, inner_iters=3, f_final=1.25, gnorm_final=1e-6
     )
     defaults.update(kw)
     return RunRecord(problem=problem, n=n, solver=solver, status=status, fe=fe, **defaults)
@@ -61,8 +61,8 @@ class TestRunSuite:
         first = run_suite(["mss"], [("woods", 12), ("cosine", 10)])
         second = run_suite(["mss"], [("woods", 12), ("cosine", 10)])
         for a, b in zip(first, second):
-            assert (a.problem, a.n, a.solver, a.status, a.fe, a.ge, a.inner_iters) == (
-                b.problem, b.n, b.solver, b.status, b.fe, b.ge, b.inner_iters
+            assert (a.problem, a.n, a.solver, a.status, a.fe, a.inner_iters) == (
+                b.problem, b.n, b.solver, b.status, b.fe, b.inner_iters
             )
             assert a.f_final == b.f_final
             assert a.gnorm_final == b.gnorm_final
@@ -203,7 +203,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "empty.csv"
         write_csv([], path)
         text = path.read_text(encoding="utf-8")
-        assert text == "problem,n,solver,status,time_sec,fe,ge,inner_iters,f_final,gnorm_final\n"
+        assert text == "problem,n,solver,status,time_sec,fe,inner_iters,f_final,gnorm_final\n"
         assert read_csv(path) == []
 
     def test_round_trip_field_exact(self, tmp_path):
@@ -230,11 +230,19 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match="line 1"):
             read_csv(path)
 
+    def test_old_header_with_ge_rejected(self, tmp_path):
+        # The schema before the ge column, which always equaled fe, was dropped.
+        path = tmp_path / "old.csv"
+        header = "problem,n,solver,status,time_sec,fe,ge,inner_iters,f_final,gnorm_final\n"
+        path.write_text(header + "p,10,mss,converged,0.1,5,5,3,1.0,1e-9\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="line 1"):
+            read_csv(path)
+
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        good = "p,10,mss,converged,0.1,5,5,3,1.0,1e-9\n"
-        header = "problem,n,solver,status,time_sec,fe,ge,inner_iters,f_final,gnorm_final\n"
-        path.write_text(header + good + "p,xx,mss,converged,0.1,5,5,3,1.0,1e-9\n",
+        good = "p,10,mss,converged,0.1,5,3,1.0,1e-9\n"
+        header = "problem,n,solver,status,time_sec,fe,inner_iters,f_final,gnorm_final\n"
+        path.write_text(header + good + "p,xx,mss,converged,0.1,5,3,1.0,1e-9\n",
                         encoding="utf-8")
         with pytest.raises(CsvFormatError, match="line 3"):
             read_csv(path)

@@ -102,7 +102,6 @@ class TestMinimize:
         result = minimize(quadratic_problem(np.zeros(5)))
         assert result.status == CONVERGED
         assert result.fe_count == 1
-        assert result.ge_count == 1
         assert result.accepted_steps == 0
 
     def test_quadratic_converges_quickly(self):
@@ -132,7 +131,6 @@ class TestMinimize:
         trace = []
         result = minimize(make("srosenbr", 20), callback=trace.append)
         assert result.fe_count == 1 + len(trace)
-        assert result.ge_count == result.fe_count
         assert result.accepted_steps + result.rejected_steps == len(trace)
 
     def test_determinism(self):

@@ -152,10 +152,8 @@ class TestAbVectors:
         mem = PairMemory(3)
         mem.try_update(e(0, 3), e(0, 3))
         ab = mem.ab_vectors()
-        np.testing.assert_allclose(ab.a_coef[0] @ mem.panel, e(0, 3))
-        np.testing.assert_allclose(ab.b_coef[0] @ mem.panel, e(0, 3))
-        assert ab.s_bs[0] == pytest.approx(1.0)
-        assert ab.y_s[0] == pytest.approx(1.0)
+        np.testing.assert_allclose(ab.rows[1] @ mem.panel, e(0, 3))  # a_0
+        np.testing.assert_allclose(ab.rows[0] @ mem.panel, e(0, 3))  # b_0
 
     def test_matches_recursive_bfgs_oracle(self, rng):
         mem = random_memory(rng, 10, 2)
@@ -166,17 +164,18 @@ class TestAbVectors:
     def test_b_norm_identity(self, rng):
         mem = random_memory(rng, 12, 4)
         ab = mem.ab_vectors()
-        b = ab.b_coef @ mem.panel
-        for i, (_, y) in enumerate(mem.pairs):
-            want = float(y @ y) / ab.y_s[i]
+        b = ab.rows[0::2] @ mem.panel
+        for i, (s, y) in enumerate(mem.pairs):
+            want = float(y @ y) / float(y @ s)
             assert float(b[i] @ b[i]) == pytest.approx(want, rel=1e-12)
 
     def test_lengths_match_pair_count(self, rng):
         mem = random_memory(rng, 6, 4)
         ab = mem.ab_vectors()
         assert ab.m == mem.m == 4
-        assert ab.a_coef.shape == ab.b_coef.shape == (4, 8)  # over 2m panel rows
-        assert (ab.a_coef @ mem.panel).shape == (ab.b_coef @ mem.panel).shape == (4, 6)
+        assert ab.rows.shape == (8, 8)  # 2m terms over 2m panel rows
+        assert ab.weights.shape == (8,)
+        assert (ab.rows @ mem.panel).shape == (8, 6)
 
     def test_cache_invalidated_by_update(self, rng):
         mem = random_memory(rng, 6, 2)
