@@ -40,12 +40,14 @@ from .subproblem import (
     BREAKDOWN,
     INTERIOR,
     MAX_ITERATIONS,
+    GramIterate,
     MssOptions,
     OptimalityReport,
     Subproblem,
     SubproblemResult,
     check_optimality,
     dense_reference_solve,
+    gram_iterate,
     mss_solve,
     newton_sigma_update,
     phi,
@@ -63,6 +65,7 @@ __all__ = [
     "DegenerateDerivativeError",
     "EPS",
     "FE_BUDGET_EXHAUSTED",
+    "GramIterate",
     "INTERIOR",
     "MAX_ITERATIONS",
     "ModelInconsistencyError",
@@ -85,6 +88,7 @@ __all__ = [
     "check_optimality",
     "dense_reference_solve",
     "fd_gradient_check",
+    "gram_iterate",
     "make",
     "minimize",
     "mss_solve",

@@ -21,6 +21,7 @@ from .subproblem import (
     Subproblem,
     check_optimality,
     dense_reference_solve,
+    gram_iterate,
     mss_solve,
     newton_sigma_update,
 )
@@ -141,16 +142,16 @@ def check_newton_update(seed: int = 4, trials: int = 20) -> CheckResult:
         sigma = float(rng.uniform(0.0, 5.0))
         shifted = dense + sigma * np.eye(n)
         p = np.linalg.solve(shifted, -g)
-        p_hat = np.linalg.solve(shifted, -p)
         delta = 0.5 * float(np.linalg.norm(p))
-        got = newton_sigma_update(sigma, p, p_hat, delta)
+        it = gram_iterate(mem, mem.panel @ g, float(g @ g), sigma)
+        got = newton_sigma_update(sigma, it.p_norm, it.curvature, delta)
         root = np.linalg.cholesky(shifted)  # shifted = root @ root.T
         qvec = np.linalg.solve(root, p)
         p_norm = float(np.linalg.norm(p))
         q_norm = float(np.linalg.norm(qvec))
         want = sigma + (p_norm**2 / q_norm**2) * (p_norm - delta) / delta
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    return CheckResult("Newton sigma step vs Cholesky form", worst <= 1e-10, worst, 1e-10)
+    return CheckResult("Gram-space Newton sigma step vs Cholesky form", worst <= 1e-10, worst, 1e-10)
 
 
 def check_boundary_accuracy(seed: int = 5, trials: int = 20) -> CheckResult:

@@ -4,8 +4,8 @@ One minimize() call owns its iterate, radius and pair memory.  Each
 iteration solves the subproblem with the configured solver, evaluates the
 trial point, accepts or rejects on the actual-over-predicted reduction
 ratio, adjusts the radius, and offers the pair (s, y) = (p, g_trial - g)
-to the memory whether or not the step was accepted (the curvature gate
-alone decides storage).
+of every finite trial to the memory whether or not the step was accepted
+(the curvature gate alone decides storage).
 """
 
 from __future__ import annotations
@@ -171,9 +171,10 @@ def minimize(
         else:
             delta = config.gamma2 * delta
 
-        # The pair is offered every iteration; only the curvature gate
-        # decides storage, never the acceptance test.
-        pair_stored = mem.try_update(p, g_trial - g)
+        # A finite trial's pair is offered whether or not the step is
+        # accepted: only the curvature gate decides storage.  A non-finite
+        # trial measures no curvature, so its pair is never offered.
+        pair_stored = trial_finite and mem.try_update(p, g_trial - g)
 
         if accepted:
             x = x + p

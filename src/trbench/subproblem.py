@@ -7,7 +7,12 @@ positive-definite pair memory.  Two production solvers are provided:
   method on the pole function phi(sigma) = 1/||p(sigma)|| - 1/delta,
   replacing the Cholesky solves of the classic More-Sorensen iteration
   with the matrix-free shifted recursion.  It solves to any requested
-  boundary accuracy.
+  boundary accuracy.  Every iterate lies in g + span(P) for the
+  memory's panel P, so the Newton loop runs in Gram space
+  (:func:`gram_iterate`): one O(M n) pass forms P g per solve, each
+  Newton iteration costs one O(M^3) recursion ``prepare`` plus O(M^2)
+  work with no n-length vector, and the step is formed once at exit
+  with one pass P^T z and one n-space norm.
 * :func:`steihaug_solve` is the Steihaug-Toint truncated conjugate
   gradient method, which stops at the boundary and does not polish.
 
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateDerivativeError, NumericalBreakdownError
 from .memory import EPS, SQRT_EPS, PairMemory
-from .shifted import apply as shifted_apply
+from .shifted import apply as shifted_apply  # noqa: F401  (public module attribute)
 from .shifted import prepare as shifted_prepare
 
 INTERIOR = "interior"
@@ -103,20 +108,77 @@ def phi(p_norm: float, delta: float) -> float:
     return 1.0 / p_norm - 1.0 / delta
 
 
-def newton_sigma_update(sigma: float, p, p_hat, delta: float) -> float:
+def newton_sigma_update(
+    sigma: float, p_norm: float, curvature: float, delta: float
+) -> float:
     """One Newton step sigma - phi/phi' for the boundary multiplier.
 
-    ``p_hat`` must solve (B + sigma I) p_hat = -p, which makes
-    phi'(sigma) = -(p^T p_hat) / ||p||^3 without any factorization.
+    ``curvature`` is p^T (B + sigma I)^{-1} p for the step p of norm
+    ``p_norm`` solved at sigma, which makes phi'(sigma) = curvature /
+    ||p||^3 without any factorization.
     """
-    p = np.asarray(p, dtype=float)
-    p_hat = np.asarray(p_hat, dtype=float)
-    p_norm = float(np.linalg.norm(p))
     value = phi(p_norm, delta)
-    slope = -float(p @ p_hat) / p_norm**3
+    slope = float(curvature) / float(p_norm) ** 3
     if slope == 0.0:
         raise DegenerateDerivativeError("phi'(sigma) = 0")
     return float(sigma) - value / slope
+
+
+@dataclass(frozen=True)
+class GramIterate:
+    """The solution p = -(base g + P^T z) of (B + sigma I) p = -g.
+
+    ``z`` holds the coefficients over the memory's panel P; ``p_norm`` is
+    ||p|| and ``curvature`` is p^T (B + sigma I)^{-1} p, both read from
+    the Gram matrix without forming p.
+    """
+
+    sigma: float
+    base: float
+    z: np.ndarray
+    p_norm: float
+    curvature: float
+
+    def step(self, g: np.ndarray, panel: np.ndarray) -> np.ndarray:
+        """Form p in n-space: one pass over the panel."""
+        return -(self.base * g + panel.T @ self.z)
+
+
+def gram_iterate(mem: PairMemory, u, gg: float, sigma: float) -> GramIterate:
+    """Solve (B + sigma I) p = -g in Gram space, given u = P g and gg = g^T g.
+
+    (B + sigma I)^{-1} = base I + P^T K P: at sigma = 0, base = gamma and
+    K is the compact inverse's K_H; at sigma > 0 both come from
+    ``shifted_prepare(mem, sigma)``, K = R^T diag(w) R applied through its
+    factors.  With z = K u and q = P p = -(base u + G z),
+
+        ||p||^2 = base^2 g^T g + 2 base u^T z + z^T G z,
+        p^T (B + sigma I)^{-1} p = base ||p||^2 + q^T K q,
+
+    an O(M^2) cost on top of the O(M^3) ``prepare``.  Raises
+    NumericalBreakdownError when the recursion does.
+    """
+    if sigma == 0.0:
+        base = mem.gamma
+        k_h = mem.ab_vectors().k_h
+
+        def kernel(v):
+            return k_h @ v
+    else:
+        state = shifted_prepare(mem, sigma)
+        base = state.base
+
+        def kernel(v):
+            return (state.weights * (state.r_coef @ v)) @ state.r_coef
+
+    z = kernel(u)
+    gz = mem.gram @ z
+    pp = max(base * base * gg + 2.0 * base * float(u @ z) + float(z @ gz), 0.0)
+    q = -(base * u + gz)
+    curvature = base * pp + float(q @ kernel(q))
+    return GramIterate(
+        sigma=sigma, base=base, z=z, p_norm=math.sqrt(pp), curvature=curvature
+    )
 
 
 def mss_solve(
@@ -125,13 +187,15 @@ def mss_solve(
     """Solve the subproblem to boundary accuracy tau_ms via sigma-Newton.
 
     Starts from the unconstrained step p = -B^{-1} g (returned directly
-    when inside the region).  Otherwise alternates: solve
-    (B + sigma I) p_hat = -p for the derivative of the pole function,
-    take a Newton step in sigma, then re-solve (B + sigma I) p = -g.
-    The sigma = 0 start uses the compact inverse product; every Newton
-    iterate, however small its sigma, prepares one recursion state and
-    reuses it for both solves at that sigma.  No forward product with B is
-    made: since (B + sigma I) p = -g holds for the returned pair, the
+    when inside the region).  Otherwise takes Newton steps in sigma on
+    the pole function, each at the price of one recursion ``prepare``:
+    the iterates are held in Gram space (:func:`gram_iterate`), so after
+    one O(M n) pass u = P g the loop costs O(M^3) per iteration and does
+    no n-length work.  p is formed once, at exit (one pass P^T z), and
+    the interior and boundary tests are decided on the n-space norm of
+    the returned p; if that norm misses the test the Gram-space norm
+    passed, the iteration continues from it.  No forward product with B
+    is made: since (B + sigma I) p = -g holds for the returned pair, the
     model reduction is (sigma ||p||^2 - g^T p)/2, a sum of two
     nonnegative terms.
 
@@ -149,49 +213,59 @@ def mss_solve(
         opts.max_iterations if opts.max_iterations is not None else min(mem.n, 100)
     )
 
-    sigma = 0.0
-    p = -mem.inv_multiply(g)
-    p_norm = float(np.linalg.norm(p))
+    panel = mem.panel
+    u = panel @ g
+    gg = float(g @ g)
+    it = gram_iterate(mem, u, gg, 0.0)
+    p_norm = it.p_norm
+    p = None  # the iterate in n-space, formed only when it may be returned
     iterations = 0
 
-    def finish(status: str) -> SubproblemResult:
-        return SubproblemResult(
-            p=p,
-            sigma=sigma,
-            status=status,
-            inner_iterations=iterations,
-            model_reduction=0.5 * (sigma * p_norm**2 - float(g @ p)),
-        )
+    def settled(norm: float) -> str | None:
+        if iterations == 0 and norm <= delta:
+            return INTERIOR
+        if abs(norm - delta) <= opts.tau_ms * delta:
+            return BOUNDARY
+        return None
 
-    if p_norm <= delta:
-        return finish(INTERIOR)
-
-    state = None  # recursion state prepared at sigma; None at the sigma = 0 start
-    while abs(p_norm - delta) > opts.tau_ms * delta:
+    while True:
+        # A Gram-space norm that cancelled to zero cannot drive Newton;
+        # the n-space norm replaces it as it does at an exit.
+        if settled(p_norm) is not None or not p_norm > 0.0:
+            p = it.step(g, panel)
+            p_norm = float(np.linalg.norm(p))
+            status = settled(p_norm)
+            if status is not None:
+                break
         if iterations >= max_iterations:
-            return finish(MAX_ITERATIONS)
+            status = MAX_ITERATIONS
+            break
         iterations += 1
         try:
-            # p solved (B + sigma I) p = -g at the current sigma, so the
-            # prepared state can be reused for the p_hat system.
-            if state is not None:
-                p_hat = shifted_apply(state, -p)
-            else:
-                p_hat = -mem.inv_multiply(p)
-            sigma_new = newton_sigma_update(sigma, p, p_hat, delta)
+            sigma_new = newton_sigma_update(it.sigma, p_norm, it.curvature, delta)
             if not math.isfinite(sigma_new) or sigma_new < 0.0:
                 # Newton stays in [0, sigma*] for SPD B; a negative step
                 # means the iteration has lost its footing.
-                return finish(BREAKDOWN)
-            # sigma and state change only once the new p exists, so a
-            # breakdown returns a pair (sigma, p) that solves the system.
-            state_new = shifted_prepare(mem, sigma_new)
-            p_new = shifted_apply(state_new, -g)
-            sigma, state, p = sigma_new, state_new, p_new
+                status = BREAKDOWN
+                break
+            # The iterate changes only once it is solved, so a breakdown
+            # returns a pair (sigma, p) that solves the system.
+            it = gram_iterate(mem, u, gg, sigma_new)
         except (NumericalBreakdownError, DegenerateDerivativeError):
-            return finish(BREAKDOWN)
+            status = BREAKDOWN
+            break
+        p, p_norm = None, it.p_norm
+
+    if p is None:
+        p = it.step(g, panel)
         p_norm = float(np.linalg.norm(p))
-    return finish(BOUNDARY)
+    return SubproblemResult(
+        p=p,
+        sigma=it.sigma,
+        status=status,
+        inner_iterations=iterations,
+        model_reduction=0.5 * (it.sigma * p_norm**2 - float(g @ p)),
+    )
 
 
 def _boundary_step(p: np.ndarray, d: np.ndarray, delta: float) -> float:

@@ -3,7 +3,10 @@
 Every memory here is built by offering pairs one at a time, and the
 oracle is the recursive dense BFGS update over the pairs the memory
 reports, so the checks cover ring wrap-around and gate rejections as well
-as the algebra.  Examples are derandomized so the suite is repeatable.
+as the algebra.  The Gram-space Newton iterates of mss are checked
+against the n-space solves they replace, the driver against non-finite
+evaluations and the CSV schema against awkward records.  Examples are
+derandomized so the suite is repeatable.
 """
 
 import math
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trbench import (
+    BOUNDARY,
     CONVERGED,
     EPS,
     FE_BUDGET_EXHAUSTED,
@@ -22,11 +26,20 @@ from trbench import (
     NumericalBreakdownError,
     PairMemory,
     ProblemInstance,
+    RunRecord,
+    Subproblem,
     TrConfig,
+    apply,
+    gram_iterate,
     make,
     minimize,
+    mss_solve,
+    prepare,
+    read_csv,
     solve_shifted,
+    write_csv,
 )
+from trbench.bench import ERROR
 from trbench.driver import SOLVERS
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -267,3 +280,145 @@ def test_nonfinite_evaluations_never_raise(name, solver, period, in_f, bad, entr
     assert math.isfinite(result.f_final)
     assert math.isfinite(result.gnorm_final)
     assert np.all(np.isfinite(result.x_final))
+
+
+FAMILIES = ("random", "near_collinear", "gamma_floor", "gate_edge")
+
+
+def family_memory(rng, n, family):
+    """A memory from one of four families that stress the kernels.
+
+    random: 1-7 pairs y = H s; near_collinear: two steps 1e-12..1e-4 apart
+    with conflicting curvature; gamma_floor: y = H s with eig H in
+    [1, 1e9] and ||s|| ~ 1e-3, which drives gamma towards its floor;
+    gate_edge: two pairs y = H s, eig H in [0.5, 2], then s = e_0 and
+    y = e_0 / 6.2e7, just inside the lower curvature gate.
+    """
+    if family == "random":
+        h = spd_matrix(rng, n)
+        mem = PairMemory(n, int(rng.integers(1, 8)))
+        while mem.m < mem.capacity:
+            s = rng.standard_normal(n)
+            assert mem.try_update(s, h @ s)
+    elif family == "near_collinear":
+        mem = PairMemory(n, 3)
+        s = rng.standard_normal(n)
+        assert mem.try_update(s, spd_matrix(rng, n) @ s)
+        s = s + 10.0 ** rng.uniform(-12, -4) * rng.standard_normal(n)
+        assert mem.try_update(s, spd_matrix(rng, n) @ s)
+    elif family == "gamma_floor":
+        h = spd_matrix(rng, n, 1.0, 1e9)
+        mem = PairMemory(n, 3)
+        while mem.m < 3:
+            s = 1e-3 * rng.standard_normal(n) / math.sqrt(n)
+            assert mem.try_update(s, h @ s)
+    else:
+        mem = PairMemory(n, 3)
+        for _ in range(2):
+            s = rng.standard_normal(n)
+            assert mem.try_update(s, spd_matrix(rng, n, 0.5, 2.0) @ s)
+        s = np.zeros(n)
+        s[0] = 1.0
+        assert mem.try_update(s, s / 6.2e7)
+    return mem
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    n=st.integers(2, 12),
+    family=st.sampled_from(FAMILIES),
+    sigma=st.sampled_from([0.0, 1e-14, 1e-8, 1e-4, 1.0, 1e3]),
+)
+def test_gram_iterate_matches_n_space(seed, n, family, sigma):
+    # ||p|| and p^T (B + sigma I)^{-1} p read from the Gram matrix must
+    # equal the values of the n-space solves they replace in mss: the
+    # compact inverse at sigma = 0, the shifted recursion otherwise.  Both
+    # sides use the same kernels, so only the order of operations differs,
+    # except that p = -(base g + P^T z) may cancel: by a factor kappa in
+    # n-space, and by kappa^2 once the sum is squared out in Gram space.
+    # kappa stays under 4 on every family but the gate edge with n <= 2m,
+    # where the panel spans g and gamma ~ 6e7; there it reached 70, with
+    # errors up to 8 kappa^2 eps (5.4e-12) against 2e-14 in n-space.
+    rng = np.random.default_rng(seed)
+    mem = family_memory(rng, n, family)
+    g = rng.standard_normal(n)
+    try:
+        it = gram_iterate(mem, mem.panel @ g, float(g @ g), sigma)
+    except NumericalBreakdownError:
+        return  # the named breakdown of a nearly rank-deficient panel
+    if sigma == 0.0:
+        p = -mem.inv_multiply(g)
+        curvature = float(p @ mem.inv_multiply(p))
+    else:
+        p = -solve_shifted(mem, sigma, g)
+        curvature = float(p @ solve_shifted(mem, sigma, p))
+    p_norm = float(np.linalg.norm(p))
+    kappa = (it.base * np.linalg.norm(g) + np.linalg.norm(mem.panel.T @ it.z)) / p_norm
+    tol = 1e-12 * kappa**2
+    assert abs(it.p_norm - p_norm) <= tol * p_norm
+    assert abs(it.curvature - curvature) <= tol * curvature
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    n=st.integers(2, 12),
+    family=st.sampled_from(FAMILIES),
+    shrink=st.floats(0.05, 0.95),
+)
+def test_mss_boundary_step_is_the_recursion_solve(seed, n, family, shrink):
+    # A boundary exit returns the recursion's own solve at the returned
+    # sigma, though the Newton loop never formed p before the exit.
+    rng = np.random.default_rng(seed)
+    mem = family_memory(rng, n, family)
+    g = rng.standard_normal(n)
+    try:
+        delta = shrink * float(np.linalg.norm(mem.inv_multiply(g)))
+        result = mss_solve(mem, Subproblem(g=g, delta=delta))
+    except NumericalBreakdownError:
+        return
+    if result.status == BOUNDARY:
+        want = apply(prepare(mem, result.sigma), -g)
+        assert np.linalg.norm(result.p - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def awkward_floats():
+    return st.floats() | st.sampled_from(
+        [math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1.7976931348623157e308, -0.0])
+
+
+@PROPERTY
+@given(
+    records=st.lists(
+        st.builds(
+            RunRecord,
+            problem=st.text(alphabet='ab1 ,"\'\n', max_size=12),
+            n=st.integers(0, 2**63),
+            solver=st.sampled_from(SOLVERS),
+            status=st.sampled_from([CONVERGED, RADIUS_TOO_SMALL, FE_BUDGET_EXHAUSTED, ERROR]),
+            time_sec=awkward_floats(),
+            fe=st.integers(0, 2**63),
+            inner_iters=st.integers(0, 2**63),
+            f_final=awkward_floats(),
+            gnorm_final=awkward_floats(),
+        ),
+        max_size=5,
+    )
+)
+def test_csv_round_trip_any_record(tmp_path_factory, records):
+    # Every field survives write_csv/read_csv, nan included (compared as
+    # nan), and names with commas, quotes and newlines stay one field.
+    path = tmp_path_factory.mktemp("csv") / "records.csv"
+    write_csv(records, path)
+    back = read_csv(path)
+    assert len(back) == len(records)
+    for got, want in zip(back, records):
+        for name in ("problem", "n", "solver", "status", "fe", "inner_iters"):
+            assert getattr(got, name) == getattr(want, name)
+        for name in ("time_sec", "f_final", "gnorm_final"):
+            a, b = getattr(got, name), getattr(want, name)
+            if math.isnan(b):
+                assert math.isnan(a)
+            else:
+                assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)

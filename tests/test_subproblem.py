@@ -5,6 +5,7 @@ from trbench import (
     BOUNDARY,
     BREAKDOWN,
     INTERIOR,
+    MAX_ITERATIONS,
     SQRT_EPS,
     DegenerateDerivativeError,
     MssOptions,
@@ -13,6 +14,7 @@ from trbench import (
     Subproblem,
     check_optimality,
     dense_reference_solve,
+    gram_iterate,
     mss_solve,
     newton_sigma_update,
     phi,
@@ -63,23 +65,28 @@ class TestPhi:
 
 class TestNewtonSigmaUpdate:
     def test_hand_case_identity_model(self):
-        # B = I, g = 3 e1, sigma = 0: p = -3 e1, p_hat = 3 e1,
-        # phi = 1/3 - 1, phi' = 9/27, update lands on sigma = 2 in one step.
-        p = -3.0 * e(0, 4)
-        p_hat = 3.0 * e(0, 4)
-        assert newton_sigma_update(0.0, p, p_hat, 1.0) == pytest.approx(2.0, abs=1e-14)
+        # B = I (empty memory), g = 3 e1, sigma = 0: p = -3 e1, so
+        # ||p|| = 3 and p^T B^{-1} p = 9; phi = 1/3 - 1, phi' = 9/27, and
+        # the update lands on sigma = 2 in one step.
+        mem = PairMemory(4)
+        g = 3.0 * e(0, 4)
+        it = gram_iterate(mem, mem.panel @ g, float(g @ g), 0.0)
+        assert (it.p_norm, it.curvature) == (3.0, 9.0)
+        np.testing.assert_array_equal(it.step(g, mem.panel), -g)
+        got = newton_sigma_update(0.0, it.p_norm, it.curvature, 1.0)
+        assert got == pytest.approx(2.0, abs=1e-14)
 
     def test_on_boundary_is_fixed_point(self):
-        p = np.array([0.6, 0.8])  # ||p|| = 1 = delta, so phi = 0
-        assert newton_sigma_update(3.5, p, -p, 1.0) == 3.5
+        assert newton_sigma_update(3.5, 1.0, 1.0, 1.0) == 3.5  # ||p|| = delta: phi = 0
 
     def test_degenerate_derivative(self):
         with pytest.raises(DegenerateDerivativeError):
-            newton_sigma_update(1.0, e(0, 2), np.zeros(2), 1.0)
+            newton_sigma_update(1.0, 1.0, 0.0, 1.0)
 
     def test_matches_cholesky_form(self, rng):
-        # The factored update sigma + (||p||^2/||q||^2)(||p|| - delta)/delta
-        # with q = R^{-T} p must agree with the explicit Newton step.
+        # The Newton step from the Gram-space ||p|| and p^T (B + sigma I)^{-1} p
+        # must agree with the factored update
+        # sigma + (||p||^2/||q||^2)(||p|| - delta)/delta, q = R^{-T} p.
         for _ in range(25):
             n = int(rng.integers(4, 25))
             mem = random_memory(rng, n, int(rng.integers(1, 6)))
@@ -87,9 +94,9 @@ class TestNewtonSigmaUpdate:
             shifted = mem.materialize_dense() + sigma * np.eye(n)
             g = rng.standard_normal(n)
             p = np.linalg.solve(shifted, -g)
-            p_hat = np.linalg.solve(shifted, -p)
             delta = 0.5 * float(np.linalg.norm(p))
-            got = newton_sigma_update(sigma, p, p_hat, delta)
+            it = gram_iterate(mem, mem.panel @ g, float(g @ g), sigma)
+            got = newton_sigma_update(sigma, it.p_norm, it.curvature, delta)
             lower = np.linalg.cholesky(shifted)
             q = np.linalg.solve(lower, p)
             p_norm = float(np.linalg.norm(p))
@@ -165,6 +172,25 @@ class TestMssSolve:
         assert result.status == "max_iterations"
         assert result.inner_iterations == 1
         assert np.all(np.isfinite(result.p))
+
+    def test_cancelled_gram_norm_never_raises(self, rng):
+        # gamma = 1e27 (s = 1e10 e_0, y = 1e-17 e_0 passes the gate) and g
+        # in B's stiff directions: p = -(base g + P^T z) cancels so far
+        # that the Gram-space ||p||^2 often rounds to zero or below.  mss
+        # must then take the n-space norm, never hand phi a zero norm.
+        for _ in range(10):
+            mem = PairMemory(3, 3)
+            for _ in range(2):
+                s = rng.standard_normal(3)
+                assert mem.try_update(s, np.diag(rng.uniform(0.5, 2.0, 3)) @ s)
+            assert mem.try_update(1e10 * e(0, 3), 1e-17 * e(0, 3))
+            v = rng.standard_normal(3)
+            v[0] = 0.0
+            g = mem.multiply(v)
+            for delta in (1e-3, 1.0, 1e3):
+                result = mss_solve(mem, Subproblem(g=g, delta=delta))
+                assert result.status in (INTERIOR, BOUNDARY, MAX_ITERATIONS, BREAKDOWN)
+                assert np.all(np.isfinite(result.p))
 
     def test_breakdown_returns_sigma_that_p_solves(self, rng, monkeypatch):
         # The recursion fails while preparing the second shift: the result
