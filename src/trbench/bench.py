@@ -184,9 +184,13 @@ def performance_profile(
 
 
 def write_csv(records: list[RunRecord], path) -> None:
-    """Write records with the fixed schema; floats keep full precision."""
+    """Write records with the fixed schema; floats keep full precision.
+
+    Rows end in CRLF (RFC 4180), so the writer quotes any field holding a
+    carriage return or a newline and a problem name stays one field.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in records:
             writer.writerow(

@@ -21,16 +21,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Trust-region solver benchmarks over L-BFGS models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = TrConfig()
 
     run_p = sub.add_parser("run", help="run a solver x problem grid")
     run_p.add_argument("--solver", default=",".join(SOLVERS),
                        help="comma-separated subset of: " + ", ".join(SOLVERS))
     run_p.add_argument("--problems", default="all",
                        help="'all' or comma-separated problem names")
-    run_p.add_argument("--n", default="default",
-                       help="dimension for every problem, or 'default' (1000)")
-    run_p.add_argument("--memory", type=int, default=5, help="L-BFGS pair capacity")
-    run_p.add_argument("--tau", type=float, default=1e-6, help="termination scale")
+    run_p.add_argument("--n", type=int, default=1000, help="dimension for every problem")
+    run_p.add_argument("--memory", type=int, default=defaults.memory,
+                       help="L-BFGS pair capacity")
+    run_p.add_argument("--tau", type=float, default=defaults.tau, help="termination scale")
     run_p.add_argument("--out", default="results.csv", help="output CSV path")
 
     prof_p = sub.add_parser("profile", help="performance profile from a results CSV")
@@ -58,18 +59,9 @@ def _cmd_run(args) -> int:
             print(f"error: unknown problem(s): {', '.join(bad) or args.problems!r}",
                   file=sys.stderr)
             return 2
-    if args.n == "default":
-        dim = 1000
-    else:
-        try:
-            dim = int(args.n)
-        except ValueError:
-            print(f"error: --n must be an integer or 'default', got {args.n!r}",
-                  file=sys.stderr)
-            return 2
     try:
         config = TrConfig(memory=args.memory, tau=args.tau)
-        records = run_suite(solvers, [(name, dim) for name in names], config)
+        records = run_suite(solvers, [(name, args.n) for name in names], config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,40 +28,38 @@ FE_BUDGET_EXHAUSTED = "fe_budget_exhausted"
 
 SOLVERS = ("mss", "steihaug")
 
+# Trust-region constants (see TrConfig).
+GAMMA1 = 2.0
+GAMMA2 = 0.5
+DELTA0 = 1.0
+DELTA_HAT = 1.0 / (100.0 * EPS)
+ETA1 = 0.01
+ETA2 = 0.95
+MIN_DELTA = 1e-13
+MAX_FE = 1000
+
 
 @dataclass
 class TrConfig:
-    """Driver constants.
+    """The settings a run may choose: pair capacity, termination scale
+    and subproblem solver.
 
-    Defaults are the standard practical choices: memory 5, radius growth
-    2.0 and shrink 0.5, initial radius 1, acceptance thresholds
-    eta1 = 0.01 and eta2 = 0.95, radius cap 1/(100 eps), termination
-    scale tau = 1e-6.  max_fe = None means max(1000, n) at run time.
+    Everything else is a module constant: radius growth GAMMA1 = 2.0 and
+    shrink GAMMA2 = 0.5, initial radius DELTA0 = 1, radius cap
+    DELTA_HAT = 1/(100 eps), acceptance thresholds ETA1 = 0.01 and
+    ETA2 = 0.95, radius floor MIN_DELTA = 1e-13 and the evaluation budget
+    max(MAX_FE, n) with MAX_FE = 1000.
     """
 
     memory: int = 5
-    gamma1: float = 2.0
-    gamma2: float = 0.5
-    delta0: float = 1.0
-    delta_hat: float = 1.0 / (100.0 * EPS)
-    eta1: float = 0.01
-    eta2: float = 0.95
     tau: float = 1e-6
-    max_fe: int | None = None
-    min_delta: float = 1e-13
     solver: str = "mss"
 
     def __post_init__(self):
         if self.memory < 1:
             raise ValueError("memory must be >= 1")
-        if not 0.0 < self.eta1 < self.eta2 < 1.0:
-            raise ValueError("need 0 < eta1 < eta2 < 1")
-        if not self.gamma1 > 1.0:
-            raise ValueError("gamma1 must exceed 1")
-        if not 0.0 < self.gamma2 < 1.0:
-            raise ValueError("gamma2 must lie in (0, 1)")
-        if not self.delta_hat > self.delta0 > self.min_delta > 0.0:
-            raise ValueError("need delta_hat > delta0 > min_delta > 0")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
 
@@ -105,15 +103,15 @@ def minimize(
     """Minimize a problem instance with the trust-region loop.
 
     Terminates successfully when ||g|| < max(tau*|f(x0)|, tau*||g(x0)||,
-    1e-5), and unsuccessfully when the radius falls under min_delta or the
-    evaluation count exceeds its budget.  ``callback``, if given, receives
+    1e-5), and unsuccessfully when the radius falls under MIN_DELTA or the
+    evaluation count exceeds max(MAX_FE, n).  ``callback``, if given, receives
     a dict per iteration (iteration, x, f, gnorm, delta, rho, accepted,
     pair_stored, memory_size) after the bookkeeping for that iteration.
     """
     if config is None:
         config = TrConfig()
     n = problem.n
-    max_fe = config.max_fe if config.max_fe is not None else max(1000, n)
+    max_fe = max(MAX_FE, n)
 
     x = np.asarray(problem.x0, dtype=float).copy()
     f, g = problem.eval(x)
@@ -123,7 +121,7 @@ def minimize(
     threshold = max(config.tau * abs(f), config.tau * float(np.linalg.norm(g)), 1e-5)
 
     mem = PairMemory(n, config.memory)
-    delta = config.delta0
+    delta = DELTA0
     inner_total = 0
     subproblem_time = 0.0
     accepted_steps = 0
@@ -137,7 +135,7 @@ def minimize(
         if gnorm < threshold:
             status = CONVERGED
             break
-        if delta < config.min_delta:
+        if delta < MIN_DELTA:
             status = RADIUS_TOO_SMALL
             break
         if fe_count > max_fe:
@@ -161,15 +159,15 @@ def minimize(
             ratio = rho(f, f_trial, result.model_reduction)
         else:
             ratio = -math.inf  # reject and shrink on non-finite trials
-        accepted = ratio >= config.eta1
+        accepted = ratio >= ETA1
 
         p_norm = float(np.linalg.norm(p))
-        if ratio >= config.eta2:
-            delta = min(config.gamma1 * p_norm, config.delta_hat)
+        if ratio >= ETA2:
+            delta = min(GAMMA1 * p_norm, DELTA_HAT)
         elif accepted:
             delta = p_norm
         else:
-            delta = config.gamma2 * delta
+            delta = GAMMA2 * delta
 
         # A finite trial's pair is offered whether or not the step is
         # accepted: only the curvature gate decides storage.  A non-finite

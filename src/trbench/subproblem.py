@@ -37,6 +37,11 @@ BOUNDARY = "boundary"
 MAX_ITERATIONS = "max_iterations"
 BREAKDOWN = "breakdown"
 
+# Iteration caps: flat for mss's Newton steps in sigma, which do not grow
+# with n; min(n, STEIHAUG_MAX_ITERATIONS) for CG, which ends in n steps.
+MSS_MAX_ITERATIONS = 100
+STEIHAUG_MAX_ITERATIONS = 100
+
 
 @dataclass
 class Subproblem:
@@ -58,14 +63,13 @@ class Subproblem:
 
 @dataclass
 class MssOptions:
-    """Stopping controls for :func:`mss_solve`.
+    """Boundary accuracy for :func:`mss_solve`.
 
     tau_ms is the relative boundary tolerance |(||p|| - delta)| <= tau_ms*delta.
-    max_iterations defaults to min(n, 100) at solve time.
+    The Newton iteration cap is the constant MSS_MAX_ITERATIONS = 100.
     """
 
     tau_ms: float = SQRT_EPS
-    max_iterations: int | None = None
 
 
 @dataclass
@@ -200,8 +204,9 @@ def mss_solve(
     nonnegative terms.
 
     Returns a result with status "interior", "boundary", "max_iterations"
-    (iteration cap hit, best iterate returned) or "breakdown" (recursion
-    failure or a negative Newton step, both pathological for SPD B).
+    (MSS_MAX_ITERATIONS = 100 Newton steps taken, whatever n is; the last
+    iterate returned) or "breakdown" (recursion failure or a negative
+    Newton step, both pathological for SPD B).
     """
     if opts is None:
         opts = MssOptions()
@@ -209,9 +214,6 @@ def mss_solve(
     if g.shape != (mem.n,):
         raise ValueError(f"g has shape {g.shape}, expected ({mem.n},)")
     delta = sp.delta
-    max_iterations = (
-        opts.max_iterations if opts.max_iterations is not None else min(mem.n, 100)
-    )
 
     panel = mem.panel
     u = panel @ g
@@ -237,7 +239,7 @@ def mss_solve(
             status = settled(p_norm)
             if status is not None:
                 break
-        if iterations >= max_iterations:
+        if iterations >= MSS_MAX_ITERATIONS:
             status = MAX_ITERATIONS
             break
         iterations += 1
@@ -280,20 +282,17 @@ def _boundary_step(p: np.ndarray, d: np.ndarray, delta: float) -> float:
     return (disc - pd) / dd
 
 
-def steihaug_solve(
-    mem: PairMemory,
-    sp: Subproblem,
-    max_iterations: int | None = None,
-) -> SubproblemResult:
+def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
     """Truncated conjugate gradients on B p = -g inside the region.
 
     CG starts from p = 0 and stops at the first of: residual small enough
     (||r|| <= ||g|| * min(0.1, ||g||^0.1)), an iterate crossing the
     boundary (step truncated to the sphere), negative curvature (cannot
-    occur for SPD B, guarded anyway), or the iteration cap
-    (default min(n, 100)).  Costs one product with B per iteration; the
-    model value g^T p + 0.5 p^T B p is advanced along each step t d from
-    the residual r = g + B p and the curvature d^T B d already at hand.
+    occur for SPD B, guarded anyway), or the iteration cap min(n, 100)
+    (STEIHAUG_MAX_ITERATIONS = 100).  Costs one product with B per
+    iteration; the model value g^T p + 0.5 p^T B p is advanced along each
+    step t d from the residual r = g + B p and the curvature d^T B d
+    already at hand.
 
     The multiplier is always reported as 0; a boundary exit carries
     status "boundary" without polishing the boundary equation.
@@ -302,8 +301,7 @@ def steihaug_solve(
     if g.shape != (mem.n,):
         raise ValueError(f"g has shape {g.shape}, expected ({mem.n},)")
     delta = sp.delta
-    if max_iterations is None:
-        max_iterations = min(mem.n, 100)
+    max_iterations = min(mem.n, STEIHAUG_MAX_ITERATIONS)
     gnorm = float(np.linalg.norm(g))
     tolerance = gnorm * min(0.1, gnorm**0.1) if gnorm > 0.0 else 0.0
 

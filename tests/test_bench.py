@@ -321,12 +321,15 @@ class TestCli:
     def test_usage_errors_exit_two(self, tmp_path):
         assert main(["run", "--solver", "newton", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["run", "--problems", "nosuch", "--out", str(tmp_path / "x.csv")]) == 2
-        assert main(["run", "--n", "wat", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["run", "--problems", "woods", "--n", "10",
                      "--out", str(tmp_path / "x.csv")]) == 2  # invalid block size
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        for tau in ("nan", "inf", "0", "-1e-6"):
+            assert main(["run", "--problems", "srosenbr", "--n", "10", f"--tau={tau}",
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        for argv in (["frobnicate"], ["run", "--n", "wat"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_check_command_passes(self, capsys):
         assert main(["check"]) == 0

@@ -10,7 +10,6 @@ from trbench import (
     INTERIOR,
     MAX_ITERATIONS,
     ModelInconsistencyError,
-    MssOptions,
     PairMemory,
     ProblemInstance,
     Subproblem,
@@ -21,6 +20,7 @@ from trbench import (
     rho,
     steihaug_solve,
 )
+from trbench import driver, subproblem
 from trbench.diagnostics import random_memory
 
 
@@ -69,7 +69,7 @@ class TestRho:
 
     @pytest.mark.parametrize("status", [INTERIOR, BOUNDARY, MAX_ITERATIONS])
     @pytest.mark.parametrize("solver", ["mss", "steihaug"])
-    def test_denominator_matches_dense_model(self, rng, solver, status):
+    def test_denominator_matches_dense_model(self, rng, monkeypatch, solver, status):
         # The driver divides by the solver's model_reduction; it must be
         # the dense model's prediction for the returned step, on every exit.
         mem = random_memory(rng, 12, 4)
@@ -78,11 +78,10 @@ class TestRho:
         # steihaug on its way to the interior minimizer.
         wide = status == INTERIOR or (status == MAX_ITERATIONS and solver == "steihaug")
         sp = Subproblem(g=g, delta=(1e3 if wide else 0.05) * float(np.linalg.norm(g)))
-        cap = 1 if status == MAX_ITERATIONS else None
-        if solver == "mss":
-            result = mss_solve(mem, sp, MssOptions(max_iterations=cap))
-        else:
-            result = steihaug_solve(mem, sp, max_iterations=cap)
+        if status == MAX_ITERATIONS:
+            monkeypatch.setattr(subproblem, "MSS_MAX_ITERATIONS", 1)
+            monkeypatch.setattr(subproblem, "STEIHAUG_MAX_ITERATIONS", 1)
+        result = (mss_solve if solver == "mss" else steihaug_solve)(mem, sp)
         assert result.status == status
         p = result.p
         dense = mem.materialize_dense()
@@ -124,7 +123,7 @@ class TestMinimize:
         f_values = [info["f"] for info in trace if info["accepted"]]
         assert all(b < a for a, b in zip(f_values, f_values[1:]))
         assert all(
-            config.min_delta <= info["delta"] <= config.delta_hat for info in trace
+            driver.MIN_DELTA <= info["delta"] <= driver.DELTA_HAT for info in trace
         )
 
     def test_fe_accounting(self):
@@ -183,19 +182,26 @@ class TestMinimize:
 
     def test_radius_too_small_exit(self):
         # Constant f with nonzero reported gradient: every step is rejected
-        # and the radius shrinks to the floor.
+        # and the radius halves from DELTA0 = 1 to the floor MIN_DELTA = 1e-13.
         def evaluate(x):
             return 1.0, np.ones(2)
 
         problem = ProblemInstance(name="stuck", n=2, eval=evaluate, x0=np.zeros(2))
-        result = minimize(problem, TrConfig(min_delta=1e-6))
+        result = minimize(problem)
         assert result.status == "radius_too_small"
         assert result.accepted_steps == 0
+        assert result.fe_count == 1 + math.ceil(math.log2(driver.DELTA0 / driver.MIN_DELTA))
 
     def test_fe_budget_exit(self):
-        result = minimize(make("srosenbr", 100), TrConfig(max_fe=5))
+        # f = -x is unbounded below with a constant gradient, so every step
+        # is accepted and the run ends only on the budget max(MAX_FE, n).
+        def evaluate(x):
+            return -float(x[0]), -np.ones(1)
+
+        problem = ProblemInstance(name="slope", n=1, eval=evaluate, x0=np.zeros(1))
+        result = minimize(problem)
         assert result.status == "fe_budget_exhausted"
-        assert result.fe_count == 6  # budget checked once exceeded
+        assert result.fe_count == driver.MAX_FE + 1  # budget checked once exceeded
 
     def test_pair_gate_is_independent_of_rho(self):
         # Over a real run, at least one rejected iteration stores its pair,
@@ -211,23 +217,17 @@ class TestMinimize:
 class TestTrConfig:
     def test_defaults(self):
         config = TrConfig()
-        assert config.memory == 5
-        assert config.gamma1 == 2.0
-        assert config.gamma2 == 0.5
-        assert config.delta0 == 1.0
-        assert config.eta1 == 0.01
-        assert config.eta2 == 0.95
-        assert config.tau == 1e-6
-        assert config.delta_hat == 1.0 / (100.0 * EPS)
+        assert (config.memory, config.tau, config.solver) == (5, 1e-6, "mss")
+        assert (driver.GAMMA1, driver.GAMMA2, driver.DELTA0) == (2.0, 0.5, 1.0)
+        assert (driver.ETA1, driver.ETA2) == (0.01, 0.95)
+        assert driver.DELTA_HAT == 1.0 / (100.0 * EPS)
+        assert (driver.MIN_DELTA, driver.MAX_FE) == (1e-13, 1000)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrConfig(eta1=0.5, eta2=0.2)
-        with pytest.raises(ValueError):
-            TrConfig(gamma1=0.9)
-        with pytest.raises(ValueError):
-            TrConfig(gamma2=1.5)
-        with pytest.raises(ValueError):
             TrConfig(solver="dogleg")
         with pytest.raises(ValueError):
-            TrConfig(delta0=1e-20)
+            TrConfig(memory=0)
+        for tau in (math.nan, math.inf, 0.0, -1e-6):
+            with pytest.raises(ValueError, match="tau"):
+                TrConfig(tau=tau)

@@ -30,6 +30,7 @@ from trbench import (
     Subproblem,
     TrConfig,
     apply,
+    check_optimality,
     gram_iterate,
     make,
     minimize,
@@ -383,6 +384,26 @@ def test_mss_boundary_step_is_the_recursion_solve(seed, n, family, shrink):
         assert np.linalg.norm(result.p - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@PROPERTY
+@given(
+    seed=seeds,
+    n=st.integers(2, 12),
+    family=st.sampled_from(("random", "near_collinear", "gamma_floor")),
+    shrink=st.floats(0.01, 0.99),
+)
+def test_mss_reaches_boundary_at_small_n(seed, n, family, shrink):
+    # Newton in sigma needs a handful of steps whatever n is, so a radius
+    # inside ||B^{-1} g|| ends on the boundary, certified, even at n = 2:
+    # a cap of min(n, 100) Newton steps stopped some of these solves short.
+    rng = np.random.default_rng(seed)
+    mem = family_memory(rng, n, family)
+    g = rng.standard_normal(n)
+    sp = Subproblem(g=g, delta=shrink * float(np.linalg.norm(mem.inv_multiply(g))))
+    result = mss_solve(mem, sp)
+    assert result.status == BOUNDARY
+    assert check_optimality(mem, result, sp, tol=1e-6).passed
+
+
 def awkward_floats():
     return st.floats() | st.sampled_from(
         [math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1.7976931348623157e308, -0.0])
@@ -393,7 +414,7 @@ def awkward_floats():
     records=st.lists(
         st.builds(
             RunRecord,
-            problem=st.text(alphabet='ab1 ,"\'\n', max_size=12),
+            problem=st.text(alphabet='ab1 ,"\'\n\r', max_size=12),
             n=st.integers(0, 2**63),
             solver=st.sampled_from(SOLVERS),
             status=st.sampled_from([CONVERGED, RADIUS_TOO_SMALL, FE_BUDGET_EXHAUSTED, ERROR]),
@@ -408,7 +429,8 @@ def awkward_floats():
 )
 def test_csv_round_trip_any_record(tmp_path_factory, records):
     # Every field survives write_csv/read_csv, nan included (compared as
-    # nan), and names with commas, quotes and newlines stay one field.
+    # nan), and names with commas, quotes, newlines and carriage returns
+    # stay one field.
     path = tmp_path_factory.mktemp("csv") / "records.csv"
     write_csv(records, path)
     back = read_csv(path)

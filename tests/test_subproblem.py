@@ -8,7 +8,6 @@ from trbench import (
     MAX_ITERATIONS,
     SQRT_EPS,
     DegenerateDerivativeError,
-    MssOptions,
     NumericalBreakdownError,
     PairMemory,
     Subproblem,
@@ -19,6 +18,7 @@ from trbench import (
     newton_sigma_update,
     phi,
     steihaug_solve,
+    subproblem,
 )
 from trbench.diagnostics import random_memory
 
@@ -166,9 +166,10 @@ class TestMssSolve:
         mem, sp = boundary_instance(rng, 20, 4)
         assert mss_solve(mem, sp).model_reduction > 0.0
 
-    def test_iteration_cap_returns_best_iterate(self, rng):
+    def test_iteration_cap_returns_best_iterate(self, rng, monkeypatch):
+        monkeypatch.setattr(subproblem, "MSS_MAX_ITERATIONS", 1)
         mem, sp = boundary_instance(rng, 30, 5)
-        result = mss_solve(mem, sp, MssOptions(max_iterations=1))
+        result = mss_solve(mem, sp)
         assert result.status == "max_iterations"
         assert result.inner_iterations == 1
         assert np.all(np.isfinite(result.p))
@@ -261,7 +262,7 @@ class TestSteihaug:
             result = steihaug_solve(mem, Subproblem(g=g, delta=delta))
             assert result.model_reduction >= 0.5 * cauchy_reduction(mem, g, delta)
 
-    def test_model_decrease_monotone_in_iteration_cap(self, rng):
+    def test_model_decrease_monotone_in_iteration_cap(self, rng, monkeypatch):
         # Prefixes of the same CG trajectory: the reduction must be
         # nondecreasing as the cap grows, strictly until convergence.
         mem = random_memory(rng, 30, 5)
@@ -270,9 +271,8 @@ class TestSteihaug:
         full = steihaug_solve(mem, sp)
         reductions = []
         for cap in range(1, full.inner_iterations + 1):
-            reductions.append(
-                steihaug_solve(mem, sp, max_iterations=cap).model_reduction
-            )
+            monkeypatch.setattr(subproblem, "STEIHAUG_MAX_ITERATIONS", cap)
+            reductions.append(steihaug_solve(mem, sp).model_reduction)
         assert all(b > a for a, b in zip(reductions, reductions[1:]))
 
     def test_zero_gradient(self):
