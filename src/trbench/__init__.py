@@ -40,6 +40,7 @@ from .subproblem import (
     BREAKDOWN,
     INTERIOR,
     MAX_ITERATIONS,
+    GramCG,
     GramIterate,
     MssOptions,
     OptimalityReport,
@@ -47,6 +48,7 @@ from .subproblem import (
     SubproblemResult,
     check_optimality,
     dense_reference_solve,
+    gram_cg,
     gram_iterate,
     mss_solve,
     newton_sigma_update,
@@ -65,6 +67,7 @@ __all__ = [
     "DegenerateDerivativeError",
     "EPS",
     "FE_BUDGET_EXHAUSTED",
+    "GramCG",
     "GramIterate",
     "INTERIOR",
     "MAX_ITERATIONS",
@@ -88,6 +91,7 @@ __all__ = [
     "check_optimality",
     "dense_reference_solve",
     "fd_gradient_check",
+    "gram_cg",
     "gram_iterate",
     "make",
     "minimize",

@@ -15,6 +15,10 @@ positive-definite pair memory.  Two production solvers are provided:
   with one pass P^T z and one n-space norm.
 * :func:`steihaug_solve` is the Steihaug-Toint truncated conjugate
   gradient method, which stops at the boundary and does not polish.
+  Every CG vector lies in the same frame span{g} + span(P), so CG
+  runs on its 2m + 1 coordinates (:func:`gram_cg`): the same O(M n)
+  pass P g per solve, O(M^2) work per CG iteration with no n-length
+  vector and no product with B, and one pass P^T x at exit.
 
 :func:`dense_reference_solve` (eigendecomposition plus bisection) and
 :func:`check_optimality` exist for verification at desk scale.
@@ -43,33 +47,49 @@ MSS_MAX_ITERATIONS = 100
 STEIHAUG_MAX_ITERATIONS = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class Subproblem:
-    """Gradient and radius defining one trust-region subproblem."""
+    """Gradient and radius defining one trust-region subproblem.
+
+    ``gg`` is g^T g, which both solvers' Gram frames need.  It is finite
+    exactly when every entry of g is finite and the sum does not
+    overflow, so one check rejects both.
+    """
 
     g: np.ndarray
     delta: float
+    gg: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        self.delta = float(self.delta)
-        if self.g.ndim != 1:
+        g = np.asarray(self.g, dtype=float)
+        delta = float(self.delta)
+        if g.ndim != 1:
             raise ValueError("g must be a vector")
-        if not np.all(np.isfinite(self.g)):
-            raise ValueError("g must be finite")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            gg = float(g @ g)
+        if not math.isfinite(gg):
+            raise ValueError(f"g must be finite with finite g^T g, got g^T g = {gg}")
+        if not delta > 0.0:
+            raise ValueError(f"delta must be positive, got {delta}")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "gg", gg)
 
 
 @dataclass
 class MssOptions:
     """Boundary accuracy for :func:`mss_solve`.
 
-    tau_ms is the relative boundary tolerance |(||p|| - delta)| <= tau_ms*delta.
-    The Newton iteration cap is the constant MSS_MAX_ITERATIONS = 100.
+    tau_ms is the relative boundary tolerance |(||p|| - delta)| <= tau_ms*delta,
+    positive and finite.  The Newton iteration cap is the constant
+    MSS_MAX_ITERATIONS = 100.
     """
 
     tau_ms: float = SQRT_EPS
+
+    def __post_init__(self):
+        if not 0.0 < self.tau_ms < math.inf:
+            raise ValueError(f"tau_ms must be positive and finite, got {self.tau_ms}")
 
 
 @dataclass
@@ -120,12 +140,18 @@ def newton_sigma_update(
     ``curvature`` is p^T (B + sigma I)^{-1} p for the step p of norm
     ``p_norm`` solved at sigma, which makes phi'(sigma) = curvature /
     ||p||^3 without any factorization.
+
+    phi/phi' is unchanged when ||p|| scales by 2^-k and curvature by
+    2^-2k, and scaling by a power of two is exact, so an ||p|| above
+    2^300 is scaled down before it is cubed (k = 0, the plain formula,
+    below that): the cube cannot overflow.
     """
     value = phi(p_norm, delta)
-    slope = float(curvature) / float(p_norm) ** 3
+    scale = 2.0 ** -max(math.frexp(float(p_norm))[1] - 300, 0)
+    slope = float(curvature) * scale * scale / (float(p_norm) * scale) ** 3  # phi'/scale
     if slope == 0.0:
         raise DegenerateDerivativeError("phi'(sigma) = 0")
-    return float(sigma) - value / slope
+    return float(sigma) - value / slope / scale
 
 
 @dataclass(frozen=True)
@@ -185,6 +211,18 @@ def gram_iterate(mem: PairMemory, u, gg: float, sigma: float) -> GramIterate:
     )
 
 
+def _frame(mem: PairMemory, sp: Subproblem) -> tuple[np.ndarray, np.ndarray]:
+    """Return the panel P and u = P g: the one O(M n) pass of a solve.
+
+    Both solvers keep their iterates in span{g} + range(P^T), whose
+    inner products come from g^T g, u and the Gram matrix.
+    """
+    if sp.g.shape != (mem.n,):
+        raise ValueError(f"g has shape {sp.g.shape}, expected ({mem.n},)")
+    panel = mem.panel
+    return panel, panel @ sp.g
+
+
 def mss_solve(
     mem: PairMemory, sp: Subproblem, opts: MssOptions | None = None
 ) -> SubproblemResult:
@@ -210,15 +248,9 @@ def mss_solve(
     """
     if opts is None:
         opts = MssOptions()
-    g = sp.g
-    if g.shape != (mem.n,):
-        raise ValueError(f"g has shape {g.shape}, expected ({mem.n},)")
-    delta = sp.delta
-
-    panel = mem.panel
-    u = panel @ g
-    gg = float(g @ g)
-    it = gram_iterate(mem, u, gg, 0.0)
+    g, delta = sp.g, sp.delta
+    panel, u = _frame(mem, sp)
+    it = gram_iterate(mem, u, sp.gg, 0.0)
     p_norm = it.p_norm
     p = None  # the iterate in n-space, formed only when it may be returned
     iterations = 0
@@ -252,7 +284,7 @@ def mss_solve(
                 break
             # The iterate changes only once it is solved, so a breakdown
             # returns a pair (sigma, p) that solves the system.
-            it = gram_iterate(mem, u, gg, sigma_new)
+            it = gram_iterate(mem, u, sp.gg, sigma_new)
         except (NumericalBreakdownError, DegenerateDerivativeError):
             status = BREAKDOWN
             break
@@ -270,16 +302,109 @@ def mss_solve(
     )
 
 
-def _boundary_step(p: np.ndarray, d: np.ndarray, delta: float) -> float:
-    """Positive tau with ||p + tau d|| = delta, for ||p|| <= delta, d != 0."""
-    dd = float(d @ d)
-    pd = float(p @ d)
-    pp = float(p @ p)
-    rest = delta**2 - pp  # >= 0 inside the region
-    disc = math.sqrt(max(pd**2 + dd * max(rest, 0.0), 0.0))
+def _boundary_step(pp: float, pd: float, dd: float, delta: float) -> float:
+    """Positive tau with ||p + tau d|| = delta, given p^T p, p^T d and d^T d.
+
+    For ||p|| <= delta and d != 0; a rest delta^2 - p^T p that rounds
+    negative counts as 0, and so does d^T d when it rounds to 0.
+    """
+    rest = max(delta**2 - pp, 0.0)
+    disc = math.sqrt(pd**2 + dd * rest)
     if pd >= 0.0:
         return rest / (pd + disc) if (pd + disc) > 0.0 else 0.0
-    return (disc - pd) / dd
+    return (disc - pd) / dd if dd > 0.0 else 0.0
+
+
+@dataclass(frozen=True)
+class GramCG:
+    """A truncated CG run held in frame coordinates: p = x[0] g + P^T x[1:].
+
+    ``model_value`` is g^T p + 0.5 p^T B p at that p, carried along the
+    CG recurrences.
+    """
+
+    x: np.ndarray
+    status: str
+    iterations: int
+    model_value: float
+
+    def step(self, g: np.ndarray, panel: np.ndarray) -> np.ndarray:
+        """Form p in n-space: one pass over the panel."""
+        return self.x[0] * g + panel.T @ self.x[1:]
+
+
+def gram_cg(mem: PairMemory, u, gg: float, delta: float) -> GramCG:
+    """Steihaug-Toint CG on B p = -g in Gram space, given u = P g and gg = g^T g.
+
+    Every CG vector lies in span{g} + range(P^T), so CG runs on
+    coordinates x of v = x[0] g + P^T x[1:], of length 2m + 1.  With the
+    frame's Gram matrix F = [[g^T g, u^T], [u, G]], v^T w = x^T F y and
+    B v has the coordinates c x + [0; C^T (w * (C (F x)[1:]))] for the
+    memory's coefficient rows C, weights w and c = 1/gamma: O(M^2) per
+    iteration and no n-length work.  Squared norms read from F are
+    clamped at 0, as in :func:`gram_iterate`.  Stops as described in
+    :func:`steihaug_solve`.
+    """
+    ab = mem.ab_vectors()
+    c = 1.0 / mem.gamma
+    k = u.size + 1
+    frame = np.empty((k, k))
+    frame[0, 0] = gg
+    frame[0, 1:] = frame[1:, 0] = u
+    frame[1:, 1:] = mem.gram
+
+    def times_b(x, fx):
+        """Coordinates of B v, given the coordinates x of v and F x."""
+        bx = c * x
+        bx[1:] += (ab.weights * (ab.rows @ fx[1:])) @ ab.rows
+        return bx
+
+    max_iterations = min(mem.n, STEIHAUG_MAX_ITERATIONS)
+    gnorm = math.sqrt(gg)
+    tolerance = gnorm * min(0.1, gnorm**0.1) if gnorm > 0.0 else 0.0
+
+    p = np.zeros(k)
+    pp = 0.0  # ||p||^2
+    r = np.zeros(k)  # the residual g + B p
+    r[0] = 1.0
+    rr = gg
+    q = 0.0  # model value g^T p + 0.5 p^T B p at the current p
+    iterations = 0
+    status = MAX_ITERATIONS
+    if math.sqrt(rr) <= tolerance:
+        status = INTERIOR  # zero gradient: p = 0 is optimal
+    else:
+        d = -r
+        while iterations < max_iterations:
+            fd = frame @ d
+            bd = times_b(d, fd)
+            iterations += 1
+            curvature = float(fd @ bd)
+            rd = float(fd @ r)
+            pd = float(fd @ p)
+            dd = max(float(fd @ d), 0.0)
+            if curvature > 0.0:
+                alpha = rr / curvature
+                pp_trial = max(pp + alpha * (2.0 * pd + alpha * dd), 0.0)
+            if not curvature > 0.0 or math.sqrt(pp_trial) > delta:
+                # Non-positive or NaN curvature, or a step out of the
+                # region: stop on the sphere.
+                t = _boundary_step(pp, pd, dd, delta)
+                q += t * rd + 0.5 * t**2 * curvature
+                p = p + t * d
+                status = BOUNDARY
+                break
+            q += alpha * rd + 0.5 * alpha**2 * curvature
+            p = p + alpha * d
+            pp = pp_trial
+            r = r + alpha * bd
+            rr_new = max(float(r @ (frame @ r)), 0.0)
+            if math.sqrt(rr_new) <= tolerance:
+                status = INTERIOR
+                break
+            d = -r + (rr_new / rr) * d
+            rr = rr_new
+    return GramCG(x=p, status=status, iterations=iterations, model_value=q)
 
 
 def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
@@ -287,64 +412,28 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
 
     CG starts from p = 0 and stops at the first of: residual small enough
     (||r|| <= ||g|| * min(0.1, ||g||^0.1)), an iterate crossing the
-    boundary (step truncated to the sphere), negative curvature (cannot
-    occur for SPD B, guarded anyway), or the iteration cap min(n, 100)
-    (STEIHAUG_MAX_ITERATIONS = 100).  Costs one product with B per
-    iteration; the model value g^T p + 0.5 p^T B p is advanced along each
-    step t d from the residual r = g + B p and the curvature d^T B d
+    boundary (step truncated to the sphere), non-positive or NaN
+    curvature (cannot occur for SPD B, guarded anyway), or the iteration
+    cap min(n, 100) (STEIHAUG_MAX_ITERATIONS = 100).
+
+    The iterates are held in Gram space (:func:`gram_cg`): one O(M n)
+    pass u = P g per solve, then O(M^2) per CG iteration with no
+    n-length work, and p is formed once, at exit (one pass P^T x).  No
+    product with B is made: the model value g^T p + 0.5 p^T B p is
+    advanced along each step t d from r^T d and the curvature d^T B d
     already at hand.
 
     The multiplier is always reported as 0; a boundary exit carries
     status "boundary" without polishing the boundary equation.
     """
-    g = sp.g
-    if g.shape != (mem.n,):
-        raise ValueError(f"g has shape {g.shape}, expected ({mem.n},)")
-    delta = sp.delta
-    max_iterations = min(mem.n, STEIHAUG_MAX_ITERATIONS)
-    gnorm = float(np.linalg.norm(g))
-    tolerance = gnorm * min(0.1, gnorm**0.1) if gnorm > 0.0 else 0.0
-
-    p = np.zeros(mem.n)
-    r = g.copy()
-    rr = float(r @ r)
-    q = 0.0  # model value g^T p + 0.5 p^T B p at the current p
-    iterations = 0
-    status = MAX_ITERATIONS
-    if math.sqrt(rr) <= tolerance:
-        status = INTERIOR  # zero gradient: p = 0 is optimal
-    else:
-        d = -g
-        while iterations < max_iterations:
-            bd = mem.multiply(d)
-            iterations += 1
-            curvature = float(d @ bd)
-            if curvature > 0.0:
-                alpha = rr / curvature
-                p_trial = p + alpha * d
-            if curvature <= 0.0 or float(np.linalg.norm(p_trial)) > delta:
-                # Negative curvature or a step out of the region: stop on the sphere.
-                t = _boundary_step(p, d, delta)
-                q += t * float(r @ d) + 0.5 * t**2 * curvature
-                p = p + t * d
-                status = BOUNDARY
-                break
-            q += alpha * float(r @ d) + 0.5 * alpha**2 * curvature
-            p = p_trial
-            r = r + alpha * bd
-            rr_new = float(r @ r)
-            if math.sqrt(rr_new) <= tolerance:
-                status = INTERIOR
-                break
-            d = -r + (rr_new / rr) * d
-            rr = rr_new
-
+    panel, u = _frame(mem, sp)
+    cg = gram_cg(mem, u, sp.gg, sp.delta)
     return SubproblemResult(
-        p=p,
+        p=cg.step(sp.g, panel),
         sigma=0.0,
-        status=status,
-        inner_iterations=iterations,
-        model_reduction=-q,
+        status=cg.status,
+        inner_iterations=cg.iterations,
+        model_reduction=-cg.model_value,
     )
 
 

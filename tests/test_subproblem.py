@@ -8,6 +8,7 @@ from trbench import (
     MAX_ITERATIONS,
     SQRT_EPS,
     DegenerateDerivativeError,
+    MssOptions,
     NumericalBreakdownError,
     PairMemory,
     Subproblem,
@@ -82,6 +83,12 @@ class TestNewtonSigmaUpdate:
     def test_degenerate_derivative(self):
         with pytest.raises(DegenerateDerivativeError):
             newton_sigma_update(1.0, 1.0, 0.0, 1.0)
+
+    def test_huge_norm_is_not_cubed(self):
+        # B = I and g = 3e120 e1 at sigma = 0: ||p|| = 3e120, whose cube
+        # overflows a double, and p^T B^{-1} p = 9e240.  The step lands on
+        # sigma = ||g||/delta - 1 as in the hand case above.
+        assert newton_sigma_update(0.0, 3e120, 9e240, 1.0) == pytest.approx(3e120, rel=1e-15)
 
     def test_matches_cholesky_form(self, rng):
         # The Newton step from the Gram-space ||p|| and p^T (B + sigma I)^{-1} p
@@ -193,6 +200,20 @@ class TestMssSolve:
                 assert result.status in (INTERIOR, BOUNDARY, MAX_ITERATIONS, BREAKDOWN)
                 assert np.all(np.isfinite(result.p))
 
+    def test_huge_gradient_reaches_boundary(self):
+        # g scaled by 1e140 puts ||p|| near 5.6e102 at sigma = 0, past the
+        # point where ||p||^3 overflows; the step must still solve.
+        mem = random_memory(np.random.default_rng(0), 20, 4)
+        sp = Subproblem(g=1e140 * np.random.default_rng(1).standard_normal(20), delta=1.0)
+        result = mss_solve(mem, sp)
+        assert result.status == BOUNDARY
+        assert check_optimality(mem, result, sp, tol=1e-6).passed
+
+    @pytest.mark.parametrize("tau_ms", [np.nan, np.inf, -1.0, 0.0])
+    def test_tau_ms_must_be_positive_and_finite(self, tau_ms):
+        with pytest.raises(ValueError):
+            MssOptions(tau_ms=tau_ms)
+
     def test_breakdown_returns_sigma_that_p_solves(self, rng, monkeypatch):
         # The recursion fails while preparing the second shift: the result
         # must pair the last p with the sigma it was solved at, not with the
@@ -281,6 +302,26 @@ class TestSteihaug:
         assert result.status == INTERIOR
         np.testing.assert_array_equal(result.p, np.zeros(3))
 
+    def test_no_product_with_b(self, rng, monkeypatch):
+        # CG runs in Gram space: a solve reads the panel twice (P g and
+        # P^T x) and never calls the n-space product.
+        def refuse(self, v):
+            raise AssertionError("steihaug_solve called PairMemory.multiply")
+
+        mem = random_memory(rng, 30, 5)
+        monkeypatch.setattr(PairMemory, "multiply", refuse)
+        for delta in (1e-2, 1e3):
+            result = steihaug_solve(mem, Subproblem(g=rng.standard_normal(30), delta=delta))
+            assert result.inner_iterations >= 1
+
+    def test_huge_gradient_reaches_boundary(self):
+        mem = random_memory(np.random.default_rng(0), 20, 4)
+        g = 1e140 * np.random.default_rng(1).standard_normal(20)
+        result = steihaug_solve(mem, Subproblem(g=g, delta=1.0))
+        assert result.status == BOUNDARY
+        assert np.linalg.norm(result.p) <= 1.0 + SQRT_EPS
+        assert 0.0 < result.model_reduction < np.inf
+
 
 class TestDenseReference:
     def test_identity_boundary(self):
@@ -334,3 +375,16 @@ def test_subproblem_validation():
         Subproblem(g=np.ones(3), delta=0.0)
     with pytest.raises(ValueError):
         Subproblem(g=np.array([1.0, np.inf]), delta=1.0)
+    with pytest.raises(ValueError):
+        Subproblem(g=np.array([1.0, np.nan]), delta=1.0)
+
+
+def test_subproblem_rejects_overflowing_gg():
+    # Every entry is finite, but g^T g overflows: the solvers' Gram frames
+    # need it finite, and without it steihaug returned "interior" with
+    # p = 0 and mss "breakdown" with an infinite p.
+    g = 1e155 * np.random.default_rng(1).standard_normal(20)
+    with pytest.raises(ValueError, match="g\\^T g"):
+        Subproblem(g=g, delta=1.0)
+    h = 1e-3 * g
+    assert Subproblem(g=h, delta=1.0).gg == float(h @ h)
