@@ -48,6 +48,8 @@ from .subproblem import (
     SubproblemResult,
     check_optimality,
     dense_reference_solve,
+    frame,
+    frame_step,
     gram_cg,
     gram_iterate,
     mss_solve,
@@ -91,6 +93,8 @@ __all__ = [
     "check_optimality",
     "dense_reference_solve",
     "fd_gradient_check",
+    "frame",
+    "frame_step",
     "gram_cg",
     "gram_iterate",
     "make",

@@ -21,6 +21,7 @@ from .subproblem import (
     Subproblem,
     check_optimality,
     dense_reference_solve,
+    frame,
     gram_iterate,
     mss_solve,
     newton_sigma_update,
@@ -143,7 +144,7 @@ def check_newton_update(seed: int = 4, trials: int = 20) -> CheckResult:
         shifted = dense + sigma * np.eye(n)
         p = np.linalg.solve(shifted, -g)
         delta = 0.5 * float(np.linalg.norm(p))
-        it = gram_iterate(mem, mem.panel @ g, float(g @ g), sigma)
+        it = gram_iterate(mem, frame(mem, Subproblem(g=g, delta=delta)), sigma)
         got = newton_sigma_update(sigma, it.p_norm, it.curvature, delta)
         root = np.linalg.cholesky(shifted)  # shifted = root @ root.T
         qvec = np.linalg.solve(root, p)

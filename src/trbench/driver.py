@@ -11,6 +11,7 @@ of every finite trial to the memory whether or not the step was accepted
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -56,8 +57,8 @@ class TrConfig:
     solver: str = "mss"
 
     def __post_init__(self):
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
+        if not isinstance(self.memory, numbers.Integral) or self.memory < 1:
+            raise ValueError(f"memory must be an integer >= 1, got {self.memory!r}")
         if not 0.0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.solver not in SOLVERS:

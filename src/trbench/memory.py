@@ -18,6 +18,11 @@ Schnabel (1994):
     B v      = gamma^{-1} v + P^T C^T diag(w) C (P v)   (:func:`panel_apply`),
     B^{-1} v = gamma v      + P^T K_H (P v).
 
+One coefficient kernel, :func:`fold` (sum_k w_k (r_k . v) r_k over
+coefficient rows r_k), serves every sum of rank-one terms in the
+package: the build of C itself, ``B v``, the shifted recursion's r_k and
+solves, and both solvers' Gram-space iterations.
+
 Costs: O(M n) to update G per accepted pair, O(M^3) to build C and K_H
 (no n-length work), O(M n) per product.
 """
@@ -35,18 +40,23 @@ EPS = float(np.finfo(float).eps)
 SQRT_EPS = math.sqrt(EPS)
 
 
-def panel_apply(panel, base, rows, weights, y) -> np.ndarray:
-    """Return base * y + P^T (sum_k weights[k] (rows[k] . P y) rows[k]).
+def fold(rows, weights, v) -> np.ndarray:
+    """Return sum_k weights[k] (rows[k] . v) rows[k], the one coefficient kernel.
 
-    The one kernel of ``B v`` and every prepared shifted solve.  It is
-    applied through its factors, never as an assembled C^T diag(w) C: when
-    panel rows are nearly dependent the coefficients grow, and assembling
-    would square that growth where the factors only carry it once.
+    It is applied through its factors, never as an assembled
+    R^T diag(w) R: when panel rows are nearly dependent the coefficients
+    grow, and assembling would square that growth where the factors only
+    carry it once.  Empty rows give zeros.
     """
-    x = base * y
-    if rows.size:
-        x += panel.T @ ((weights * (rows @ (panel @ y))) @ rows)
-    return x
+    return (weights * (rows @ v)) @ rows
+
+
+def panel_apply(panel, base, rows, weights, y) -> np.ndarray:
+    """Return base * y + P^T fold(rows, weights, P y) for the panel P.
+
+    The n-space form of ``B v`` and of every prepared shifted solve.
+    """
+    return base * y + panel.T @ fold(rows, weights, panel @ y)
 
 
 @dataclass(frozen=True)
@@ -186,11 +196,8 @@ class PairMemory:
         """Return B^{-1} z from the compact inverse with B0^{-1} = gamma I."""
         z = self._check_dim(z, "z")
         ab = self.ab_vectors()
-        r = self._gamma * z
-        if ab.m:
-            panel = self._panel[: 2 * self._m]
-            r += panel.T @ (ab.k_h @ (panel @ z))
-        return r
+        panel = self._panel[: 2 * self._m]
+        return self._gamma * z + panel.T @ (ab.k_h @ (panel @ z))
 
     def multiply(self, v) -> np.ndarray:
         """Return B v = v / gamma - sum a_i (a_i^T v) + sum b_i (b_i^T v)."""
@@ -215,47 +222,33 @@ class PairMemory:
         gram = self._gram[:k, :k]
         s_rows = np.array([2 * j for j in self._slots()], dtype=int)
         y_rows = s_rows + 1
-        a = np.zeros((m, k))
-        b = np.zeros((m, k))
         y_s = gram[s_rows, y_rows]
-        ginv = 1.0 / self._gamma
+        rows = np.zeros((k, k))
+        weights = np.tile([1.0, -1.0], m)
         for i, (si, yi) in enumerate(zip(s_rows, y_rows)):
             # Coefficients of B_i s_i, with every inner product read from G.
-            bs = np.zeros(k)
-            bs[si] = ginv
-            if i:
-                g_s = gram[:, si]
-                bs -= (a[:i] @ g_s) @ a[:i]
-                bs += (b[:i] @ g_s) @ b[:i]
+            bs = fold(rows[: 2 * i], weights[: 2 * i], gram[:, si])
+            bs[si] += 1.0 / self._gamma
             sbs = float(bs @ gram[:, si])
             if not np.isfinite(sbs) or sbs <= 0.0:
                 raise NumericalBreakdownError(
                     f"s^T B s = {sbs:.3e} for pair {i}; B lost positive definiteness"
                 )
-            a[i] = bs / math.sqrt(sbs)
-            b[i, yi] = 1.0 / math.sqrt(y_s[i])
+            rows[2 * i, yi] = 1.0 / math.sqrt(y_s[i])  # b_i
+            rows[2 * i + 1] = bs / math.sqrt(sbs)  # a_i
 
         # Compact inverse (Byrd, Nocedal & Schnabel 1994, eq. 2.6) with
         # R = triu(S^T Y) and D = diag(S^T Y), both oldest pair first.
         k_h = np.zeros((k, k))
-        if m:
-            r_inv = np.linalg.inv(np.triu(gram[np.ix_(s_rows, y_rows)]))
-            yy = gram[np.ix_(y_rows, y_rows)]
-            k_h[np.ix_(s_rows, s_rows)] = r_inv.T @ (np.diag(y_s) + self._gamma * yy) @ r_inv
-            k_h[np.ix_(s_rows, y_rows)] = -self._gamma * r_inv.T
-            k_h[np.ix_(y_rows, s_rows)] = -self._gamma * r_inv
-        rows = np.empty((k, k))
-        rows[0::2] = b
-        rows[1::2] = a
-        return AbVectors(rows=rows, weights=np.tile([1.0, -1.0], m), k_h=k_h)
+        r_inv = np.linalg.inv(np.triu(gram[np.ix_(s_rows, y_rows)]))
+        yy = gram[np.ix_(y_rows, y_rows)]
+        k_h[np.ix_(s_rows, s_rows)] = r_inv.T @ (np.diag(y_s) + self._gamma * yy) @ r_inv
+        k_h[np.ix_(s_rows, y_rows)] = -self._gamma * r_inv.T
+        k_h[np.ix_(y_rows, s_rows)] = -self._gamma * r_inv
+        return AbVectors(rows=rows, weights=weights, k_h=k_h)
 
     def materialize_dense(self) -> np.ndarray:
-        """Form B explicitly as an n x n array.  Test oracle, small n only."""
+        """Form B = I / gamma + (C P)^T diag(w) (C P) explicitly.  Test oracle, small n only."""
         ab = self.ab_vectors()
-        a = ab.rows[1::2] @ self.panel
-        b = ab.rows[0::2] @ self.panel
-        dense = np.eye(self.n) / self._gamma
-        for i in range(ab.m):
-            dense -= np.outer(a[i], a[i])
-            dense += np.outer(b[i], b[i])
-        return dense
+        cp = ab.rows @ self.panel
+        return np.eye(self.n) / self._gamma + (cp.T * ab.weights) @ cp

@@ -27,10 +27,11 @@ further off than a rounding bound proportional to cond(B + sigma I).
 
 Every c_k, and hence every r_k, lies in the span of the memory's panel P,
 so the recursion runs on coefficient rows over P with each inner product
-read from the Gram matrix G = P P^T.  Preparing a shift costs O(M^3) with
-no n-length work; each solve is base * y + P^T K_sigma (P y), O(M n), with
-K_sigma = sum_k (-1)^{k+1} v_k w_k^T w_k for the coefficient rows w_k of
-r_k, applied through those factors by :func:`~trbench.memory.panel_apply`.
+read from the Gram matrix G = P P^T.  ``prepare`` forms each r_k, and
+each solve applies the r_k, through the memory's one coefficient kernel
+:func:`~trbench.memory.fold` with weights (-1)^{k+1} v_k.  Preparing a shift costs O(M^3) with no n-length work;
+each solve is base * y + P^T fold(r, weights, P y)
+(:func:`~trbench.memory.panel_apply`), O(M n).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalBreakdownError
-from .memory import EPS, PairMemory, panel_apply
+from .memory import EPS, PairMemory, fold, panel_apply
 
 # Denominators 1 + (-1)^k r_k^T c_k below this magnitude are treated as
 # breakdown rather than propagated as huge v_k.
@@ -86,9 +87,7 @@ def prepare(mem: PairMemory, sigma: float) -> ShiftedRecursionState:
     r = np.zeros(c.shape)
     weights = np.zeros(c.shape[0])  # (-1)^{k+1} v_k
     for k in range(c.shape[0]):
-        rk = base * c[k]
-        if k:
-            rk = rk + (weights[:k] * (r[:k] @ gc[k])) @ r[:k]
+        rk = base * c[k] + fold(r[:k], weights[:k], gc[k])
         denom = 1.0 + ab.weights[k] * float(rk @ gc[k])  # (-1)^k r_k^T c_k
         if abs(denom) < DENOM_GUARD:
             raise NumericalBreakdownError(

@@ -7,18 +7,19 @@ positive-definite pair memory.  Two production solvers are provided:
   method on the pole function phi(sigma) = 1/||p(sigma)|| - 1/delta,
   replacing the Cholesky solves of the classic More-Sorensen iteration
   with the matrix-free shifted recursion.  It solves to any requested
-  boundary accuracy.  Every iterate lies in g + span(P) for the
-  memory's panel P, so the Newton loop runs in Gram space
-  (:func:`gram_iterate`): one O(M n) pass forms P g per solve, each
-  Newton iteration costs one O(M^3) recursion ``prepare`` plus O(M^2)
-  work with no n-length vector, and the step is formed once at exit
-  with one pass P^T z and one n-space norm.
+  boundary accuracy.
 * :func:`steihaug_solve` is the Steihaug-Toint truncated conjugate
   gradient method, which stops at the boundary and does not polish.
-  Every CG vector lies in the same frame span{g} + span(P), so CG
-  runs on its 2m + 1 coordinates (:func:`gram_cg`): the same O(M n)
-  pass P g per solve, O(M^2) work per CG iteration with no n-length
-  vector and no product with B, and one pass P^T x at exit.
+
+Both solvers keep every iterate in one frame, span{g} + range(P^T) for
+the memory's panel P, as coordinates x of p = x[0] g + P^T x[1:].
+:func:`frame` makes the frame's Gram matrix F = [[g^T g, u^T], [u, G]]
+from u = P g, the one O(M n) pass of a solve; every inner product is
+then x^T F y.  A Newton iteration (:func:`gram_iterate`) costs one
+O(M^3) recursion ``prepare`` plus O(M^2) work, a CG iteration
+(:func:`gram_cg`) O(M^2) with no product with B, and neither does
+n-length work.  :func:`frame_step` forms p once, at exit, with one pass
+P^T x.
 
 :func:`dense_reference_solve` (eigendecomposition plus bisection) and
 :func:`check_optimality` exist for verification at desk scale.
@@ -26,14 +27,16 @@ positive-definite pair memory.  Two production solvers are provided:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateDerivativeError, NumericalBreakdownError
-from .memory import EPS, SQRT_EPS, PairMemory
-from .shifted import apply as shifted_apply  # noqa: F401  (public module attribute)
+from .memory import EPS, SQRT_EPS, PairMemory, fold
+# No solver calls shifted_apply; perfbench's tracer patches it here by name.
+from .shifted import apply as shifted_apply  # noqa: F401
 from .shifted import prepare as shifted_prepare
 
 INTERIOR = "interior"
@@ -51,7 +54,7 @@ STEIHAUG_MAX_ITERATIONS = 100
 class Subproblem:
     """Gradient and radius defining one trust-region subproblem.
 
-    ``gg`` is g^T g, which both solvers' Gram frames need.  It is finite
+    ``gg`` is g^T g, the corner of both solvers' Gram frame.  It is finite
     exactly when every entry of g is finite and the sum does not
     overflow, so one check rejects both.
     """
@@ -132,6 +135,12 @@ def phi(p_norm: float, delta: float) -> float:
     return 1.0 / p_norm - 1.0 / delta
 
 
+def _exponent_clamp(x: float, bound: int) -> float:
+    """The power of two that brings x's binary exponent into [-bound, bound], 1 inside."""
+    exponent = math.frexp(float(x))[1]
+    return math.ldexp(1.0, min(max(exponent, -bound), bound) - exponent)
+
+
 def newton_sigma_update(
     sigma: float, p_norm: float, curvature: float, delta: float
 ) -> float:
@@ -142,47 +151,65 @@ def newton_sigma_update(
     ||p||^3 without any factorization.
 
     phi/phi' is unchanged when ||p|| scales by 2^-k and curvature by
-    2^-2k, and scaling by a power of two is exact, so an ||p|| above
-    2^300 is scaled down before it is cubed (k = 0, the plain formula,
-    below that): the cube cannot overflow.
+    2^-2k, and scaling by a power of two is exact, so an ||p|| outside
+    2^-300..2^300 is scaled into it before it is cubed (k = 0, the plain
+    formula, inside): the cube neither overflows nor underflows.
     """
     value = phi(p_norm, delta)
-    scale = 2.0 ** -max(math.frexp(float(p_norm))[1] - 300, 0)
+    scale = _exponent_clamp(p_norm, 300)
     slope = float(curvature) * scale * scale / (float(p_norm) * scale) ** 3  # phi'/scale
     if slope == 0.0:
         raise DegenerateDerivativeError("phi'(sigma) = 0")
     return float(sigma) - value / slope / scale
 
 
+def frame(mem: PairMemory, sp: Subproblem) -> np.ndarray:
+    """Return the Gram matrix F = [[g^T g, u^T], [u, G]] of the frame.
+
+    The frame is span{g} + range(P^T) for the memory's panel P, with
+    u = P g its one O(M n) pass.  An iterate with coordinates x is
+    p = x[0] g + P^T x[1:] (:func:`frame_step`), so ||p||^2 = x^T F x and
+    P p = (F x)[1:].
+    """
+    if sp.g.shape != (mem.n,):
+        raise ValueError(f"g has shape {sp.g.shape}, expected ({mem.n},)")
+    u = mem.panel @ sp.g
+    f = np.empty((u.size + 1, u.size + 1))
+    f[0, 0] = sp.gg
+    f[0, 1:] = f[1:, 0] = u
+    f[1:, 1:] = mem.gram
+    return f
+
+
+def frame_step(mem: PairMemory, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Form p = x[0] g + P^T x[1:] in n-space: one pass over the panel."""
+    return x[0] * g + mem.panel.T @ x[1:]
+
+
 @dataclass(frozen=True)
 class GramIterate:
-    """The solution p = -(base g + P^T z) of (B + sigma I) p = -g.
+    """The solution p of (B + sigma I) p = -g, held as frame coordinates x.
 
-    ``z`` holds the coefficients over the memory's panel P; ``p_norm`` is
-    ||p|| and ``curvature`` is p^T (B + sigma I)^{-1} p, both read from
-    the Gram matrix without forming p.
+    ``p_norm`` is ||p|| and ``curvature`` is p^T (B + sigma I)^{-1} p,
+    both read from the frame's Gram matrix without forming p.
     """
 
     sigma: float
-    base: float
-    z: np.ndarray
+    x: np.ndarray
     p_norm: float
     curvature: float
 
-    def step(self, g: np.ndarray, panel: np.ndarray) -> np.ndarray:
-        """Form p in n-space: one pass over the panel."""
-        return -(self.base * g + panel.T @ self.z)
 
-
-def gram_iterate(mem: PairMemory, u, gg: float, sigma: float) -> GramIterate:
-    """Solve (B + sigma I) p = -g in Gram space, given u = P g and gg = g^T g.
+def gram_iterate(mem: PairMemory, f: np.ndarray, sigma: float) -> GramIterate:
+    """Solve (B + sigma I) p = -g in Gram space, given the frame's Gram matrix f.
 
     (B + sigma I)^{-1} = base I + P^T K P: at sigma = 0, base = gamma and
     K is the compact inverse's K_H; at sigma > 0 both come from
     ``shifted_prepare(mem, sigma)``, K = R^T diag(w) R applied through its
-    factors.  With z = K u and q = P p = -(base u + G z),
+    factors by ``fold``.  With u = P g, p has the coordinates
+    x = -[base; K u], so
 
-        ||p||^2 = base^2 g^T g + 2 base u^T z + z^T G z,
+        ||p||^2 = x^T F x,  q = P p = (F x)[1:],
         p^T (B + sigma I)^{-1} p = base ||p||^2 + q^T K q,
 
     an O(M^2) cost on top of the O(M^3) ``prepare``.  Raises
@@ -190,37 +217,17 @@ def gram_iterate(mem: PairMemory, u, gg: float, sigma: float) -> GramIterate:
     """
     if sigma == 0.0:
         base = mem.gamma
-        k_h = mem.ab_vectors().k_h
-
-        def kernel(v):
-            return k_h @ v
+        kernel = functools.partial(np.matmul, mem.ab_vectors().k_h)
     else:
         state = shifted_prepare(mem, sigma)
         base = state.base
-
-        def kernel(v):
-            return (state.weights * (state.r_coef @ v)) @ state.r_coef
-
-    z = kernel(u)
-    gz = mem.gram @ z
-    pp = max(base * base * gg + 2.0 * base * float(u @ z) + float(z @ gz), 0.0)
-    q = -(base * u + gz)
+        kernel = functools.partial(fold, state.r_coef, state.weights)
+    x = -np.concatenate(([base], kernel(f[0, 1:])))
+    fx = f @ x
+    pp = max(float(x @ fx), 0.0)
+    q = fx[1:]
     curvature = base * pp + float(q @ kernel(q))
-    return GramIterate(
-        sigma=sigma, base=base, z=z, p_norm=math.sqrt(pp), curvature=curvature
-    )
-
-
-def _frame(mem: PairMemory, sp: Subproblem) -> tuple[np.ndarray, np.ndarray]:
-    """Return the panel P and u = P g: the one O(M n) pass of a solve.
-
-    Both solvers keep their iterates in span{g} + range(P^T), whose
-    inner products come from g^T g, u and the Gram matrix.
-    """
-    if sp.g.shape != (mem.n,):
-        raise ValueError(f"g has shape {sp.g.shape}, expected ({mem.n},)")
-    panel = mem.panel
-    return panel, panel @ sp.g
+    return GramIterate(sigma=sigma, x=x, p_norm=math.sqrt(pp), curvature=curvature)
 
 
 def mss_solve(
@@ -233,7 +240,7 @@ def mss_solve(
     the pole function, each at the price of one recursion ``prepare``:
     the iterates are held in Gram space (:func:`gram_iterate`), so after
     one O(M n) pass u = P g the loop costs O(M^3) per iteration and does
-    no n-length work.  p is formed once, at exit (one pass P^T z), and
+    no n-length work.  p is formed once, at exit (one pass P^T x), and
     the interior and boundary tests are decided on the n-space norm of
     the returned p; if that norm misses the test the Gram-space norm
     passed, the iteration continues from it.  No forward product with B
@@ -249,8 +256,8 @@ def mss_solve(
     if opts is None:
         opts = MssOptions()
     g, delta = sp.g, sp.delta
-    panel, u = _frame(mem, sp)
-    it = gram_iterate(mem, u, sp.gg, 0.0)
+    f = frame(mem, sp)
+    it = gram_iterate(mem, f, 0.0)
     p_norm = it.p_norm
     p = None  # the iterate in n-space, formed only when it may be returned
     iterations = 0
@@ -266,7 +273,7 @@ def mss_solve(
         # A Gram-space norm that cancelled to zero cannot drive Newton;
         # the n-space norm replaces it as it does at an exit.
         if settled(p_norm) is not None or not p_norm > 0.0:
-            p = it.step(g, panel)
+            p = frame_step(mem, g, it.x)
             p_norm = float(np.linalg.norm(p))
             status = settled(p_norm)
             if status is not None:
@@ -284,14 +291,14 @@ def mss_solve(
                 break
             # The iterate changes only once it is solved, so a breakdown
             # returns a pair (sigma, p) that solves the system.
-            it = gram_iterate(mem, u, sp.gg, sigma_new)
+            it = gram_iterate(mem, f, sigma_new)
         except (NumericalBreakdownError, DegenerateDerivativeError):
             status = BREAKDOWN
             break
         p, p_norm = None, it.p_norm
 
     if p is None:
-        p = it.step(g, panel)
+        p = frame_step(mem, g, it.x)
         p_norm = float(np.linalg.norm(p))
     return SubproblemResult(
         p=p,
@@ -306,8 +313,13 @@ def _boundary_step(pp: float, pd: float, dd: float, delta: float) -> float:
     """Positive tau with ||p + tau d|| = delta, given p^T p, p^T d and d^T d.
 
     For ||p|| <= delta and d != 0; a rest delta^2 - p^T p that rounds
-    negative counts as 0, and so does d^T d when it rounds to 0.
+    negative counts as 0, and so does d^T d when it rounds to 0.  tau is
+    unchanged when p, d and delta scale alike, so a delta outside
+    2^-100..2^100 is scaled into it by an exact power of two first: no
+    product below under- or overflows, and no bit moves inside.
     """
+    scale = _exponent_clamp(delta, 100)
+    pp, pd, dd, delta = pp * scale * scale, pd * scale * scale, dd * scale * scale, delta * scale
     rest = max(delta**2 - pp, 0.0)
     disc = math.sqrt(pd**2 + dd * rest)
     if pd >= 0.0:
@@ -328,46 +340,29 @@ class GramCG:
     iterations: int
     model_value: float
 
-    def step(self, g: np.ndarray, panel: np.ndarray) -> np.ndarray:
-        """Form p in n-space: one pass over the panel."""
-        return self.x[0] * g + panel.T @ self.x[1:]
 
+def gram_cg(mem: PairMemory, f: np.ndarray, delta: float) -> GramCG:
+    """Steihaug-Toint CG on B p = -g in Gram space, given the frame's Gram matrix f.
 
-def gram_cg(mem: PairMemory, u, gg: float, delta: float) -> GramCG:
-    """Steihaug-Toint CG on B p = -g in Gram space, given u = P g and gg = g^T g.
-
-    Every CG vector lies in span{g} + range(P^T), so CG runs on
-    coordinates x of v = x[0] g + P^T x[1:], of length 2m + 1.  With the
-    frame's Gram matrix F = [[g^T g, u^T], [u, G]], v^T w = x^T F y and
-    B v has the coordinates c x + [0; C^T (w * (C (F x)[1:]))] for the
-    memory's coefficient rows C, weights w and c = 1/gamma: O(M^2) per
-    iteration and no n-length work.  Squared norms read from F are
-    clamped at 0, as in :func:`gram_iterate`.  Stops as described in
-    :func:`steihaug_solve`.
+    Every CG vector lies in span{g} + range(P^T), so CG runs on frame
+    coordinates x of v = x[0] g + P^T x[1:], of length 2m + 1:
+    v^T w = x^T F y, and B v has the coordinates
+    c x + [0; fold(C, w, (F x)[1:])] for the memory's coefficient rows C,
+    weights w and c = 1/gamma: O(M^2) per iteration and no n-length work.
+    Squared norms read from F are clamped at 0, as in
+    :func:`gram_iterate`.  Stops as described in :func:`steihaug_solve`.
     """
     ab = mem.ab_vectors()
     c = 1.0 / mem.gamma
-    k = u.size + 1
-    frame = np.empty((k, k))
-    frame[0, 0] = gg
-    frame[0, 1:] = frame[1:, 0] = u
-    frame[1:, 1:] = mem.gram
-
-    def times_b(x, fx):
-        """Coordinates of B v, given the coordinates x of v and F x."""
-        bx = c * x
-        bx[1:] += (ab.weights * (ab.rows @ fx[1:])) @ ab.rows
-        return bx
-
     max_iterations = min(mem.n, STEIHAUG_MAX_ITERATIONS)
-    gnorm = math.sqrt(gg)
+    rr = float(f[0, 0])  # ||r||^2 = g^T g at p = 0
+    gnorm = math.sqrt(rr)
     tolerance = gnorm * min(0.1, gnorm**0.1) if gnorm > 0.0 else 0.0
 
-    p = np.zeros(k)
+    p = np.zeros(f.shape[0])
     pp = 0.0  # ||p||^2
-    r = np.zeros(k)  # the residual g + B p
+    r = np.zeros(f.shape[0])  # the residual g + B p
     r[0] = 1.0
-    rr = gg
     q = 0.0  # model value g^T p + 0.5 p^T B p at the current p
     iterations = 0
     status = MAX_ITERATIONS
@@ -376,8 +371,9 @@ def gram_cg(mem: PairMemory, u, gg: float, delta: float) -> GramCG:
     else:
         d = -r
         while iterations < max_iterations:
-            fd = frame @ d
-            bd = times_b(d, fd)
+            fd = f @ d
+            bd = c * d  # the coordinates of B d
+            bd[1:] += fold(ab.rows, ab.weights, fd[1:])
             iterations += 1
             curvature = float(fd @ bd)
             rd = float(fd @ r)
@@ -398,7 +394,7 @@ def gram_cg(mem: PairMemory, u, gg: float, delta: float) -> GramCG:
             p = p + alpha * d
             pp = pp_trial
             r = r + alpha * bd
-            rr_new = max(float(r @ (frame @ r)), 0.0)
+            rr_new = max(float(r @ (f @ r)), 0.0)
             if math.sqrt(rr_new) <= tolerance:
                 status = INTERIOR
                 break
@@ -426,10 +422,9 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
     The multiplier is always reported as 0; a boundary exit carries
     status "boundary" without polishing the boundary equation.
     """
-    panel, u = _frame(mem, sp)
-    cg = gram_cg(mem, u, sp.gg, sp.delta)
+    cg = gram_cg(mem, frame(mem, sp), sp.delta)
     return SubproblemResult(
-        p=cg.step(sp.g, panel),
+        p=frame_step(mem, sp.g, cg.x),
         sigma=0.0,
         status=cg.status,
         inner_iterations=cg.iterations,
@@ -455,8 +450,8 @@ def dense_reference_solve(
         raise ValueError("B and g have inconsistent shapes")
     if not np.allclose(b_dense, b_dense.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(b_dense).max()))):
         raise ValueError("B must be symmetric")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     lam, q = np.linalg.eigh(b_dense)
     if lam[0] <= 0.0:
         raise ValueError(f"B must be positive definite (min eigenvalue {lam[0]:.3e})")

@@ -18,6 +18,7 @@ from trbench import (
     TrConfig,
     check_optimality,
     fd_gradient_check,
+    frame,
     gram_iterate,
     make,
     mss_solve,
@@ -114,7 +115,7 @@ def test_criterion_3_newton_update_matches_cholesky_form():
         g = rng.standard_normal(n)
         p = np.linalg.solve(shifted, -g)
         delta = float(np.linalg.norm(p)) * float(rng.uniform(0.2, 0.9))
-        it = gram_iterate(mem, mem.panel @ g, float(g @ g), sigma)
+        it = gram_iterate(mem, frame(mem, Subproblem(g=g, delta=delta)), sigma)
         got = newton_sigma_update(sigma, it.p_norm, it.curvature, delta)
         lower = np.linalg.cholesky(shifted)
         q = np.linalg.solve(lower, p)

@@ -228,6 +228,9 @@ class TestTrConfig:
             TrConfig(solver="dogleg")
         with pytest.raises(ValueError):
             TrConfig(memory=0)
+        with pytest.raises(ValueError, match="integer"):
+            TrConfig(memory=2.5)
+        assert TrConfig(memory=np.int64(3)).memory == 3
         for tau in (math.nan, math.inf, 0.0, -1e-6):
             with pytest.raises(ValueError, match="tau"):
                 TrConfig(tau=tau)

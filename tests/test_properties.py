@@ -35,6 +35,7 @@ from trbench import (
     TrConfig,
     apply,
     check_optimality,
+    frame,
     gram_cg,
     gram_iterate,
     make,
@@ -343,7 +344,7 @@ def test_gram_iterate_matches_n_space(seed, n, family, sigma):
     # equal the values of the n-space solves they replace in mss: the
     # compact inverse at sigma = 0, the shifted recursion otherwise.  Both
     # sides use the same kernels, so only the order of operations differs,
-    # except that p = -(base g + P^T z) may cancel: by a factor kappa in
+    # except that p = x[0] g + P^T x[1:] may cancel: by a factor kappa in
     # n-space, and by kappa^2 once the sum is squared out in Gram space.
     # kappa stays under 4 on every family but the gate edge with n <= 2m,
     # where the panel spans g and gamma ~ 6e7; there it reached 70, with
@@ -352,7 +353,7 @@ def test_gram_iterate_matches_n_space(seed, n, family, sigma):
     mem = family_memory(rng, n, family)
     g = rng.standard_normal(n)
     try:
-        it = gram_iterate(mem, mem.panel @ g, float(g @ g), sigma)
+        it = gram_iterate(mem, frame(mem, Subproblem(g=g, delta=1.0)), sigma)
     except NumericalBreakdownError:
         return  # the named breakdown of a nearly rank-deficient panel
     if sigma == 0.0:
@@ -362,7 +363,7 @@ def test_gram_iterate_matches_n_space(seed, n, family, sigma):
         p = -solve_shifted(mem, sigma, g)
         curvature = float(p @ solve_shifted(mem, sigma, p))
     p_norm = float(np.linalg.norm(p))
-    kappa = (it.base * np.linalg.norm(g) + np.linalg.norm(mem.panel.T @ it.z)) / p_norm
+    kappa = (abs(it.x[0]) * np.linalg.norm(g) + np.linalg.norm(mem.panel.T @ it.x[1:])) / p_norm
     tol = 1e-12 * kappa**2
     assert abs(it.p_norm - p_norm) <= tol * p_norm
     assert abs(it.curvature - curvature) <= tol * curvature
@@ -477,7 +478,7 @@ def test_steihaug_matches_n_space_cg_and_dense_model(seed, n, family, shrink):
     exact, scale = dense_bfgs(mem.pairs, mem.gamma, n)
     wide = p.astype(np.longdouble)
     model = -float(g.astype(np.longdouble) @ wide + 0.5 * (wide @ exact @ wide))
-    x = gram_cg(mem, mem.panel @ g, sp.gg, sp.delta).x
+    x = gram_cg(mem, frame(mem, sp), sp.delta).x
     kappa = (abs(x[0]) * np.linalg.norm(g) + np.linalg.norm(mem.panel.T @ x[1:])) / p_norm
     bound = TOL * kappa**2 * (np.linalg.norm(g) * p_norm + scale * p_norm**2)
     assert abs(result.model_reduction - model) <= bound

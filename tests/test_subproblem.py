@@ -14,6 +14,8 @@ from trbench import (
     Subproblem,
     check_optimality,
     dense_reference_solve,
+    frame,
+    frame_step,
     gram_iterate,
     mss_solve,
     newton_sigma_update,
@@ -71,9 +73,9 @@ class TestNewtonSigmaUpdate:
         # the update lands on sigma = 2 in one step.
         mem = PairMemory(4)
         g = 3.0 * e(0, 4)
-        it = gram_iterate(mem, mem.panel @ g, float(g @ g), 0.0)
+        it = gram_iterate(mem, frame(mem, Subproblem(g=g, delta=1.0)), 0.0)
         assert (it.p_norm, it.curvature) == (3.0, 9.0)
-        np.testing.assert_array_equal(it.step(g, mem.panel), -g)
+        np.testing.assert_array_equal(frame_step(mem, g, it.x), -g)
         got = newton_sigma_update(0.0, it.p_norm, it.curvature, 1.0)
         assert got == pytest.approx(2.0, abs=1e-14)
 
@@ -90,6 +92,13 @@ class TestNewtonSigmaUpdate:
         # sigma = ||g||/delta - 1 as in the hand case above.
         assert newton_sigma_update(0.0, 3e120, 9e240, 1.0) == pytest.approx(3e120, rel=1e-15)
 
+    def test_tiny_norm_is_not_cubed(self):
+        # B = 1e-100 I and ||g|| = 1e-300 at sigma = 0: ||p|| = 1e-200,
+        # whose cube underflows to 0, and p^T B^{-1} p = 1e-300.  phi is
+        # linear in sigma, so the step lands on ||g||/delta - 1e-100.
+        got = newton_sigma_update(0.0, 1e-200, 1e-300, 0.5e-200)
+        assert got == pytest.approx(1e-100, rel=1e-15)
+
     def test_matches_cholesky_form(self, rng):
         # The Newton step from the Gram-space ||p|| and p^T (B + sigma I)^{-1} p
         # must agree with the factored update
@@ -102,7 +111,7 @@ class TestNewtonSigmaUpdate:
             g = rng.standard_normal(n)
             p = np.linalg.solve(shifted, -g)
             delta = 0.5 * float(np.linalg.norm(p))
-            it = gram_iterate(mem, mem.panel @ g, float(g @ g), sigma)
+            it = gram_iterate(mem, frame(mem, Subproblem(g=g, delta=delta)), sigma)
             got = newton_sigma_update(sigma, it.p_norm, it.curvature, delta)
             lower = np.linalg.cholesky(shifted)
             q = np.linalg.solve(lower, p)
@@ -339,6 +348,11 @@ class TestDenseReference:
         np.testing.assert_allclose(p, [-0.3, -0.4])
         assert sigma == 0.0
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan])
+    def test_radius_must_be_positive(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            dense_reference_solve(np.eye(2), np.ones(2), delta)
+
     def test_non_spd_rejected(self):
         with pytest.raises(ValueError):
             dense_reference_solve(np.diag([1.0, -1.0]), np.ones(2), 1.0)
@@ -368,6 +382,27 @@ class TestCheckOptimality:
         report = check_optimality(mem, result, sp, tol=1e-6)
         assert not report.residual_ok
         assert not report.passed
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-120, 1e-100, 1e-80, 1e80, 1e100, 1e120, 1e150])
+def test_extreme_gradient_scales(scale):
+    # Both solvers are scale-free: g and delta scaled alike scale p.  mss
+    # raised ZeroDivisionError once ||p||^3 underflowed (||p|| < ~1e-108);
+    # steihaug's boundary step underflowed to t = 0 below ~1e-80 and
+    # overflowed squaring p^T d above ~1e80.
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        mem = random_memory(rng, 20, 4)
+        g = scale * rng.standard_normal(20)
+        for shrink in (0.05, 0.5):
+            sp = Subproblem(g=g, delta=shrink * float(np.linalg.norm(mem.inv_multiply(g))))
+            result = mss_solve(mem, sp)
+            assert result.status == BOUNDARY
+            assert check_optimality(mem, result, sp, tol=1e-6).passed
+            result = steihaug_solve(mem, sp)
+            assert result.status == BOUNDARY
+            assert abs(np.linalg.norm(result.p) - sp.delta) <= 1e-10 * sp.delta
+            assert result.model_reduction > 0.0
 
 
 def test_subproblem_validation():
