@@ -32,7 +32,7 @@ from .errors import (
     ModelInconsistencyError,
     NumericalBreakdownError,
 )
-from .memory import EPS, SQRT_EPS, AbVectors, PairMemory
+from .memory import EPS, SQRT_EPS, AbVectors, PairMemory, PanelProduct
 from .problems import PROBLEM_NAMES, ProblemInstance, fd_gradient_check, make
 from .shifted import ShiftedRecursionState, apply, prepare, solve_shifted
 from .subproblem import (
@@ -79,6 +79,7 @@ __all__ = [
     "OptimalityReport",
     "PROBLEM_NAMES",
     "PairMemory",
+    "PanelProduct",
     "ProblemInstance",
     "ProfileCurve",
     "RADIUS_TOO_SMALL",

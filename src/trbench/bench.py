@@ -8,7 +8,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -252,6 +251,15 @@ def write_profile(curves: list[ProfileCurve], data_path, svg_path=None) -> None:
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
+def _xml_text(text: str) -> str:
+    """Escape &, < and > for XML character data.
+
+    What xml.sax.saxutils.escape does by default, without the import:
+    loading xml.sax.saxutils pulls in urllib, http.client, email and ssl.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_profile_svg(curves: list[ProfileCurve]) -> str:
     """Render profile curves as a self-contained 800x500 SVG line plot."""
     width, height = 800, 500
@@ -320,7 +328,7 @@ def render_profile_svg(curves: list[ProfileCurve]) -> str:
         )
         parts.append(
             f'<text x="{left + plot_w - 112}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="13">{escape(curve.solver)}</text>'
+            f'font-size="13">{_xml_text(curve.solver)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

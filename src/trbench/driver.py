@@ -6,6 +6,15 @@ trial point, accepts or rejects on the actual-over-predicted reduction
 ratio, adjusts the radius, and offers the pair (s, y) = (p, g_trial - g)
 of every finite trial to the memory whether or not the step was accepted
 (the curvature gate alone decides storage).
+
+Cost per iteration at large n: the solver's pass P' x that forms p, and
+the memory's two passes P s and P y when it stores a pair.  The solver's
+pass u = P g is skipped whenever the driver can carry u from the
+previous iteration (:meth:`PairMemory.carry`): after a rejected step
+(two dot products for a newly stored pair), and after an accepted step
+whose pair was stored, as P g_trial = P g + P y.  A carried u keeps
+the rounding of each step it was carried across, so the driver tracks a
+bound on it and forms u afresh once the bound passes CARRY_BOUND.
 """
 
 from __future__ import annotations
@@ -38,6 +47,13 @@ ETA1 = 0.01
 ETA2 = 0.95
 MIN_DELTA = 1e-13
 MAX_FE = 1000
+# A carried u = P g is used while its rounding bound, in units of
+# eps ||panel row||, stays within CARRY_BOUND ||g||: a fresh product
+# stands at ||g||.  Chosen for accuracy, not for evaluation counts:
+# unguarded, nondia at n = 1e5 (a gradient falling 1.7e4-fold in one
+# step) left the carried u off by 7.9e-9 ||row|| ||g||; with the bound
+# the worst over the n = 1e5 grid is 5.9e-12.
+CARRY_BOUND = 64.0
 
 
 @dataclass
@@ -119,7 +135,8 @@ def minimize(
     f = float(f)
     g = np.asarray(g, dtype=float)
     fe_count = 1
-    threshold = max(config.tau * abs(f), config.tau * float(np.linalg.norm(g)), 1e-5)
+    gnorm = float(np.linalg.norm(g))
+    threshold = max(config.tau * abs(f), config.tau * gnorm, 1e-5)
 
     mem = PairMemory(n, config.memory)
     delta = DELTA0
@@ -128,11 +145,12 @@ def minimize(
     accepted_steps = 0
     rejected_steps = 0
     iteration = 0
+    pg = None  # P g at mem's current version, when carried; else the solver forms it
+    pg_error = 0.0  # bound on pg's rounding in units of eps ||panel row||
     # Bound per minimize() call, so a solver patched onto this module is used.
     solve = mss_solve if config.solver == "mss" else steihaug_solve
 
     while True:
-        gnorm = float(np.linalg.norm(g))
         if gnorm < threshold:
             status = CONVERGED
             break
@@ -144,18 +162,26 @@ def minimize(
             break
 
         iteration += 1
+        if pg is None:
+            pg_error = gnorm  # the solver forms P g directly
         t0 = time.perf_counter()
-        result = solve(mem, Subproblem(g=g, delta=delta))
+        result = solve(mem, Subproblem(g=g, delta=delta, pg=pg))
         subproblem_time += time.perf_counter() - t0
         inner_total += result.inner_iterations
         p = result.p
+        pg = result.pg
 
-        f_trial, g_trial = problem.eval(x + p)
+        x_trial = x + p
+        f_trial, g_trial = problem.eval(x_trial)
         f_trial = float(f_trial)
         g_trial = np.asarray(g_trial, dtype=float)
         fe_count += 1
 
-        trial_finite = math.isfinite(f_trial) and bool(np.all(np.isfinite(g_trial)))
+        # A trial gradient with a NaN or inf entry, or whose g'g overflows,
+        # is not finite; the solvers could not take it as their next g.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gg_trial = float(g_trial @ g_trial)
+        trial_finite = math.isfinite(f_trial) and math.isfinite(gg_trial)
         if trial_finite:
             ratio = rho(f, f_trial, result.model_reduction)
         else:
@@ -173,14 +199,21 @@ def minimize(
         # A finite trial's pair is offered whether or not the step is
         # accepted: only the curvature gate decides storage.  A non-finite
         # trial measures no curvature, so its pair is never offered.
-        pair_stored = trial_finite and mem.try_update(p, g_trial - g)
+        y = g_trial - g if trial_finite else None
+        pair_stored = trial_finite and mem.try_update(p, y)
 
         if accepted:
-            x = x + p
-            f = f_trial
-            g = g_trial
+            gnorm_trial = math.sqrt(gg_trial)
+            pg_error += float(np.linalg.norm(y)) + gnorm_trial
+            if pair_stored and pg_error <= CARRY_BOUND * gnorm_trial:
+                pg = mem.carry(pg, g, add_y=True)
+            else:
+                pg = None
+            x, f, g, gnorm = x_trial, f_trial, g_trial, gnorm_trial
             accepted_steps += 1
         else:
+            if pair_stored:
+                pg = mem.carry(pg, g)
             rejected_steps += 1
 
         if callback is not None:
@@ -189,7 +222,7 @@ def minimize(
                     "iteration": iteration,
                     "x": x.copy(),
                     "f": f,
-                    "gnorm": float(np.linalg.norm(g)),
+                    "gnorm": gnorm,
                     "delta": delta,
                     "rho": ratio,
                     "accepted": accepted,
@@ -201,7 +234,7 @@ def minimize(
     return TrResult(
         x_final=x,
         f_final=f,
-        gnorm_final=float(np.linalg.norm(g)),
+        gnorm_final=gnorm,
         status=status,
         fe_count=fe_count,
         inner_iterations_total=inner_total,

@@ -23,8 +23,11 @@ coefficient rows r_k), serves every sum of rank-one terms in the
 package: the build of C itself, ``B v``, the shifted recursion's r_k and
 solves, and both solvers' Gram-space iterations.
 
-Costs: O(M n) to update G per accepted pair, O(M^3) to build C and K_H
-(no n-length work), O(M n) per product.
+Costs: two O(M n) matrix-vector passes, P s and P y over the updated
+panel, to refresh G per accepted pair; O(M^3) to build C and K_H (no
+n-length work); O(M n) per product.  P y is also the step from P g to
+P g_trial for the driver's next solve (:meth:`PairMemory.carry`), so an
+accepted step whose pair was stored needs no fresh pass u = P g_trial.
 """
 
 from __future__ import annotations
@@ -57,6 +60,18 @@ def panel_apply(panel, base, rows, weights, y) -> np.ndarray:
     The n-space form of ``B v`` and of every prepared shifted solve.
     """
     return base * y + panel.T @ fold(rows, weights, panel @ y)
+
+
+@dataclass(frozen=True)
+class PanelProduct:
+    """u = P v for a memory's panel P at one ``version`` of the memory.
+
+    Solvers accept it in place of their own pass over the panel and
+    reject it once the memory has changed (see :meth:`PairMemory.carry`).
+    """
+
+    u: np.ndarray
+    version: int
 
 
 @dataclass(frozen=True)
@@ -163,7 +178,9 @@ class PairMemory:
 
         Returns True iff sqrt(eps) < s^T y < 1/sqrt(eps).  On acceptance
         the pair overwrites the oldest slot when full, its Gram rows are
-        refreshed with one pass over the panel, and gamma is recomputed
+        refreshed from the products P s and P y with the updated panel
+        (two matrix-vector passes: OpenBLAS runs them faster than one
+        product with the two columns [s y]), and gamma is recomputed
         from the new pair.  On rejection the memory is untouched.
         """
         s = self._check_dim(s_plus, "s_plus")
@@ -178,19 +195,44 @@ class PairMemory:
         else:
             slot = self._head
             self._head = (slot + 1) % self.capacity
-        rows = slice(2 * slot, 2 * slot + 2)
-        self._panel[2 * slot] = s
-        self._panel[2 * slot + 1] = y
+        s_row, y_row = 2 * slot, 2 * slot + 1
+        self._panel[s_row] = s
+        self._panel[y_row] = y
         k = 2 * self._m
-        cross = self._panel[:k] @ self._panel[rows].T  # (2m, 2): products with s and y
-        self._gram[:k, rows] = cross
-        self._gram[rows, :k] = cross.T
+        panel = self._panel[:k]
+        for row, v in ((s_row, s), (y_row, y)):
+            self._gram[:k, row] = self._gram[row, :k] = panel @ v
         # The gate's s^T y, so y_s matches it and G stays exactly symmetric.
-        self._gram[2 * slot, 2 * slot + 1] = self._gram[2 * slot + 1, 2 * slot] = sy
-        self._gamma = max(SQRT_EPS, sy / float(y @ y))
+        self._gram[s_row, y_row] = self._gram[y_row, s_row] = sy
+        self._gamma = max(SQRT_EPS, sy / float(self._gram[y_row, y_row]))
         self._ab = None
         self._version += 1
         return True
+
+    def carry(self, pg: PanelProduct, g, add_y: bool = False) -> PanelProduct:
+        """Bring pg = P g across the update that stored the newest pair (s, y).
+
+        ``pg`` must be from the version just before that update, else
+        ValueError.  Its entries for the other slots are kept and the
+        newest slot's two become the direct products s^T g and y^T g,
+        which gives P g for the current panel.  With ``add_y`` the newest
+        pair's Gram column, P y, is added too, which gives P (g + y): the
+        product with the trial gradient g + y after an accepted step, with
+        no pass over the panel.  Each carried entry adds the rounding of
+        one product with y and of one addition to that of ``pg``.
+        """
+        if pg.version != self._version - 1:
+            raise ValueError("product is not from the version before the last update")
+        k = 2 * self._m
+        slot = (self._head + self._m - 1) % self.capacity  # the newest pair
+        s_row, y_row = 2 * slot, 2 * slot + 1
+        u = np.empty(k)
+        u[: pg.u.size] = pg.u  # when the memory grew, the new slot is last
+        u[s_row] = self._panel[s_row] @ g
+        u[y_row] = self._panel[y_row] @ g
+        if add_y:
+            u += self._gram[:k, y_row]
+        return PanelProduct(u, self._version)
 
     def inv_multiply(self, z) -> np.ndarray:
         """Return B^{-1} z from the compact inverse with B0^{-1} = gamma I."""

@@ -14,12 +14,13 @@ positive-definite pair memory.  Two production solvers are provided:
 Both solvers keep every iterate in one frame, span{g} + range(P^T) for
 the memory's panel P, as coordinates x of p = x[0] g + P^T x[1:].
 :func:`frame` makes the frame's Gram matrix F = [[g^T g, u^T], [u, G]]
-from u = P g, the one O(M n) pass of a solve; every inner product is
-then x^T F y.  A Newton iteration (:func:`gram_iterate`) costs one
-O(M^3) recursion ``prepare`` plus O(M^2) work, a CG iteration
-(:func:`gram_cg`) O(M^2) with no product with B, and neither does
-n-length work.  :func:`frame_step` forms p once, at exit, with one pass
-P^T x.
+from u = P g, the one O(M n) pass of a solve, which a caller that
+already knows u (the trust-region driver, see :meth:`PairMemory.carry`)
+passes in as ``Subproblem.pg``; every inner product is then x^T F y.
+A Newton iteration (:func:`gram_iterate`) costs one O(M^3) recursion
+``prepare`` plus O(M^2) work, a CG iteration (:func:`gram_cg`) O(M^2)
+with no product with B, and neither does n-length work.
+:func:`frame_step` forms p once, at exit, with one pass P^T x.
 
 :func:`dense_reference_solve` (eigendecomposition plus bisection) and
 :func:`check_optimality` exist for verification at desk scale.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDerivativeError, NumericalBreakdownError
-from .memory import EPS, SQRT_EPS, PairMemory, fold
+from .memory import EPS, SQRT_EPS, PairMemory, PanelProduct, fold
 # No solver calls shifted_apply; perfbench's tracer patches it here by name.
 from .shifted import apply as shifted_apply  # noqa: F401
 from .shifted import prepare as shifted_prepare
@@ -56,11 +57,14 @@ class Subproblem:
 
     ``gg`` is g^T g, the corner of both solvers' Gram frame.  It is finite
     exactly when every entry of g is finite and the sum does not
-    overflow, so one check rejects both.
+    overflow, so one check rejects both.  ``pg``, when given, is P g for
+    the panel P of the memory at its current version, and the solver
+    skips that pass; the caller vouches that it is the product with this g.
     """
 
     g: np.ndarray
     delta: float
+    pg: PanelProduct | None = None
     gg: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -97,13 +101,17 @@ class MssOptions:
 
 @dataclass
 class SubproblemResult:
-    """Solver output: step, multiplier, exit status and counters."""
+    """Solver output: step, multiplier, exit status and counters.
+
+    ``pg`` is the P g the solve used, for a caller to carry to the next one.
+    """
 
     p: np.ndarray
     sigma: float
     status: str
     inner_iterations: int
     model_reduction: float
+    pg: PanelProduct
 
 
 @dataclass
@@ -167,13 +175,19 @@ def frame(mem: PairMemory, sp: Subproblem) -> np.ndarray:
     """Return the Gram matrix F = [[g^T g, u^T], [u, G]] of the frame.
 
     The frame is span{g} + range(P^T) for the memory's panel P, with
-    u = P g its one O(M n) pass.  An iterate with coordinates x is
-    p = x[0] g + P^T x[1:] (:func:`frame_step`), so ||p||^2 = x^T F x and
-    P p = (F x)[1:].
+    u = P g its one O(M n) pass, skipped when ``sp.pg`` gives u; a ``pg``
+    from an older version of the memory raises ValueError.  An iterate
+    with coordinates x is p = x[0] g + P^T x[1:] (:func:`frame_step`), so
+    ||p||^2 = x^T F x and P p = (F x)[1:].
     """
     if sp.g.shape != (mem.n,):
         raise ValueError(f"g has shape {sp.g.shape}, expected ({mem.n},)")
-    u = mem.panel @ sp.g
+    if sp.pg is None:
+        u = mem.panel @ sp.g
+    elif sp.pg.version != mem.version:
+        raise ValueError("pg is stale: memory changed after it was formed")
+    else:
+        u = sp.pg.u
     f = np.empty((u.size + 1, u.size + 1))
     f[0, 0] = sp.gg
     f[0, 1:] = f[1:, 0] = u
@@ -239,9 +253,10 @@ def mss_solve(
     when inside the region).  Otherwise takes Newton steps in sigma on
     the pole function, each at the price of one recursion ``prepare``:
     the iterates are held in Gram space (:func:`gram_iterate`), so after
-    one O(M n) pass u = P g the loop costs O(M^3) per iteration and does
-    no n-length work.  p is formed once, at exit (one pass P^T x), and
-    the interior and boundary tests are decided on the n-space norm of
+    one O(M n) pass u = P g (none when ``sp.pg`` gives u) the loop costs
+    O(M^3) per iteration and does no n-length work.  p is formed once, at
+    exit (one pass P^T x), and the interior and boundary tests are
+    decided on the n-space norm of
     the returned p; if that norm misses the test the Gram-space norm
     passed, the iteration continues from it.  No forward product with B
     is made: since (B + sigma I) p = -g holds for the returned pair, the
@@ -306,6 +321,7 @@ def mss_solve(
         status=status,
         inner_iterations=iterations,
         model_reduction=0.5 * (it.sigma * p_norm**2 - float(g @ p)),
+        pg=PanelProduct(f[0, 1:], mem.version),
     )
 
 
@@ -413,22 +429,24 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
     cap min(n, 100) (STEIHAUG_MAX_ITERATIONS = 100).
 
     The iterates are held in Gram space (:func:`gram_cg`): one O(M n)
-    pass u = P g per solve, then O(M^2) per CG iteration with no
-    n-length work, and p is formed once, at exit (one pass P^T x).  No
-    product with B is made: the model value g^T p + 0.5 p^T B p is
-    advanced along each step t d from r^T d and the curvature d^T B d
-    already at hand.
+    pass u = P g per solve (none when ``sp.pg`` gives u), then O(M^2)
+    per CG iteration with no n-length work, and p is formed once, at
+    exit (one pass P^T x).  No product with B is made: the model value
+    g^T p + 0.5 p^T B p is advanced along each step t d from r^T d and
+    the curvature d^T B d already at hand.
 
     The multiplier is always reported as 0; a boundary exit carries
     status "boundary" without polishing the boundary equation.
     """
-    cg = gram_cg(mem, frame(mem, sp), sp.delta)
+    f = frame(mem, sp)
+    cg = gram_cg(mem, f, sp.delta)
     return SubproblemResult(
         p=frame_step(mem, sp.g, cg.x),
         sigma=0.0,
         status=cg.status,
         inner_iterations=cg.iterations,
         model_reduction=-cg.model_value,
+        pg=PanelProduct(f[0, 1:], mem.version),
     )
 
 

@@ -1,5 +1,9 @@
 import math
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +280,11 @@ class TestWriteProfile:
         assert root.tag.endswith("svg")
         assert root.get("width") == "800"
         assert root.get("height") == "500"
+        # A solver name with XML markup characters is escaped, not markup.
+        records = [replace(r, solver="<a & b>") if r.solver == "a" else r
+                   for r in hand_case_records()]
+        root = ET.fromstring(render_profile_svg(performance_profile(records)))
+        assert "<a & b>" in [el.text for el in root.iter() if el.tag.endswith("text")]
 
     def test_svg_renders_empty_curve(self):
         text = render_profile_svg(
@@ -336,3 +345,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 6
         assert "[FAIL]" not in out
+
+
+def test_import_loads_no_network_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client, email and ssl
+    # (numpy itself loads urllib.parse, so that one is allowed).
+    src = Path(__file__).resolve().parent.parent / "src"
+    heavy = ("urllib.request", "http", "email", "ssl")
+    probe = (f"import sys; sys.path.insert(0, {str(src)!r}); import trbench; "
+             f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -180,6 +180,50 @@ class TestMinimize:
         assert trace[0]["rho"] == -math.inf
         assert trace[0]["delta"] == pytest.approx(0.5)
 
+    def test_overflowing_trial_gradient_is_rejected_with_shrink(self):
+        # Every entry of the first trial's gradient is finite, but g'g
+        # overflows.  The trial counts as non-finite (rejected, radius
+        # halved, no pair offered) instead of being accepted and then
+        # refused by the next Subproblem.
+        table = {
+            0.0: (0.0, -1.0),
+            1.0: (-5.0, 1e160),
+            0.5: (-1.0, 1e-9),
+        }
+        trace = []
+        result = minimize(table_problem(table), callback=trace.append)
+        assert result.status == CONVERGED
+        assert not trace[0]["accepted"]
+        assert not trace[0]["pair_stored"]
+        assert trace[0]["rho"] == -math.inf
+        assert trace[0]["delta"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("drop, carried", [(2.0, True), (1e8, False)])
+    def test_panel_product_carried_unless_gradient_drops(self, monkeypatch, drop, carried):
+        # One accepted step from x = 0 to x = -1 stores its pair, and the
+        # gradient falls from 1e4 by ``drop``.  The next solve gets P g
+        # carried across the step unless the drop makes the carried
+        # rounding too large next to ||g||; then it forms P g itself.
+        def evaluate(x):
+            if x[0] == 0.0:
+                return 0.0, np.array([1e4])
+            return -1e4, np.array([1e4 / drop])
+
+        seen = []
+
+        def solve(mem, sp):
+            if sp.pg is not None and mem.m:
+                np.testing.assert_allclose(sp.pg.u, mem.panel @ sp.g, rtol=1e-14)
+            seen.append((mem.m, sp.pg is not None))
+            return mss_solve(mem, sp)
+
+        monkeypatch.setattr(driver, "mss_solve", solve)
+        problem = ProblemInstance(name="drop", n=1, eval=evaluate, x0=np.zeros(1))
+        trace = []
+        minimize(problem, TrConfig(tau=1e-12), callback=trace.append)
+        assert trace[0]["accepted"] and trace[0]["pair_stored"]
+        assert seen[1] == (1, carried)
+
     def test_radius_too_small_exit(self):
         # Constant f with nonzero reported gradient: every step is rejected
         # and the radius halves from DELTA0 = 1 to the floor MIN_DELTA = 1e-13.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trbench import EPS, SQRT_EPS, NumericalBreakdownError, PairMemory
+from trbench import EPS, SQRT_EPS, NumericalBreakdownError, PairMemory, PanelProduct
 from trbench.diagnostics import random_memory
 
 
@@ -240,3 +240,35 @@ def test_panel_and_gram_are_read_only(rng):
         mem.panel[0, 0] = 1.0
     with pytest.raises(ValueError):
         mem.gram[0, 0] = 1.0
+
+
+def test_carry_matches_direct_product_through_wrap_around(rng):
+    # Capacity 3 and 5 updates: the memory grows, fills and then wraps.
+    n = 12
+    mem = PairMemory(n, capacity=3)
+    for _ in range(5):
+        g = rng.standard_normal(n)
+        s = rng.standard_normal(n)
+        y = rng.uniform(0.5, 2.0, n) * s
+        pg = PanelProduct(mem.panel @ g, mem.version)
+        assert mem.try_update(s, y)
+        kept = mem.carry(pg, g)
+        moved = mem.carry(pg, g, add_y=True)
+        assert kept.version == moved.version == mem.version
+        scale = np.linalg.norm(mem.panel, axis=1) * (np.linalg.norm(g) + np.linalg.norm(y))
+        np.testing.assert_array_less(np.abs(kept.u - mem.panel @ g), 4 * n * EPS * scale)
+        np.testing.assert_array_less(np.abs(moved.u - mem.panel @ (g + y)), 4 * n * EPS * scale)
+    assert mem.m == 3
+
+
+def test_carry_rejects_a_product_not_one_update_old(rng):
+    mem = random_memory(rng, 6, 2)
+    g = rng.standard_normal(6)
+    current = PanelProduct(mem.panel @ g, mem.version)
+    with pytest.raises(ValueError):
+        mem.carry(current, g)  # no update since: nothing to carry across
+    s = rng.standard_normal(6)
+    assert mem.try_update(s, 2.0 * s)
+    assert mem.try_update(s, 3.0 * s)
+    with pytest.raises(ValueError):
+        mem.carry(current, g)  # two updates old

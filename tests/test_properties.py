@@ -48,6 +48,7 @@ from trbench import (
     subproblem,
     write_csv,
 )
+from trbench import driver
 from trbench.bench import ERROR
 from trbench.driver import SOLVERS
 
@@ -289,6 +290,34 @@ def test_nonfinite_evaluations_never_raise(name, solver, period, in_f, bad, entr
     assert math.isfinite(result.f_final)
     assert math.isfinite(result.gnorm_final)
     assert np.all(np.isfinite(result.x_final))
+
+
+@PROPERTY
+@given(
+    name=st.sampled_from(PROBLEM_NAMES),
+    n=st.sampled_from([4, 8, 20, 40]),
+    memory=st.integers(1, 6),
+    solver=st.sampled_from(SOLVERS),
+)
+def test_carried_panel_product_within_its_bound(name, n, memory, solver):
+    # At every solve of a run, a P g the driver carried matches the direct
+    # product to the rounding bound the carry keeps: each entry of a
+    # length-n product of a panel row r with a vector v rounds by at most
+    # c eps ||r|| ||v|| with c = n.  The driver carries while its bound,
+    # in units of c eps ||r||, is at most CARRY_BOUND ||g||; the direct
+    # product compared against adds one ||g|| more.
+    solve = getattr(driver, f"{solver}_solve")
+
+    def checked(mem, sp):
+        if sp.pg is not None and mem.m:
+            rows = np.linalg.norm(mem.panel, axis=1)
+            bound = n * EPS * (driver.CARRY_BOUND + 1.0) * float(np.linalg.norm(sp.g)) * rows
+            assert np.all(np.abs(sp.pg.u - mem.panel @ sp.g) <= bound)
+        return solve(mem, sp)
+
+    with mock.patch.object(driver, f"{solver}_solve", checked):
+        result = minimize(make(name, n), TrConfig(memory=memory, solver=solver))
+    assert result.status in (CONVERGED, RADIUS_TOO_SMALL, FE_BUDGET_EXHAUSTED)
 
 
 FAMILIES = ("random", "near_collinear", "gamma_floor", "gate_edge")

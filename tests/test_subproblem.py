@@ -11,6 +11,7 @@ from trbench import (
     MssOptions,
     NumericalBreakdownError,
     PairMemory,
+    PanelProduct,
     Subproblem,
     check_optimality,
     dense_reference_solve,
@@ -423,3 +424,25 @@ def test_subproblem_rejects_overflowing_gg():
         Subproblem(g=g, delta=1.0)
     h = 1e-3 * g
     assert Subproblem(g=h, delta=1.0).gg == float(h @ h)
+
+
+@pytest.mark.parametrize("solve", [mss_solve, steihaug_solve])
+def test_known_panel_product_is_used_and_checked(rng, solve):
+    # A solver given P g uses it in place of its own pass and returns the
+    # same step; a product from before an update of the memory is stale.
+    mem, sp = boundary_instance(rng, 30, 3)
+    direct = solve(mem, sp)
+    np.testing.assert_array_equal(direct.pg.u, mem.panel @ sp.g)
+    given = solve(mem, Subproblem(g=sp.g, delta=sp.delta, pg=direct.pg))
+    np.testing.assert_array_equal(given.p, direct.p)
+    assert given.pg.version == mem.version
+    doubled = PanelProduct(2.0 * direct.pg.u, mem.version)
+    used = solve(mem, Subproblem(g=sp.g, delta=sp.delta, pg=doubled))
+    np.testing.assert_array_equal(used.pg.u, doubled.u)
+    s = rng.standard_normal(30)
+    assert mem.try_update(s, 2.0 * s)
+    with pytest.raises(ValueError, match="stale"):
+        solve(mem, Subproblem(g=sp.g, delta=sp.delta, pg=direct.pg))
+    with pytest.raises(ValueError, match="stale"):
+        solve(mem, Subproblem(g=sp.g, delta=sp.delta,
+                              pg=PanelProduct(np.zeros(2 * mem.m), mem.version - 1)))
