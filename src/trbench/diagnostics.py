@@ -3,7 +3,8 @@
 Backs the ``trbench check`` command.  Every check compares an optimized
 code path against an independent dense or analytic oracle on seeded
 random instances, so a silent regression in the matrix-free kernels
-turns into a visible failure here.
+turns into a visible failure here.  Each check has its own fixed seed
+and, apart from the gradient check, draws TRIALS instances.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .subproblem import (
     newton_sigma_update,
 )
 
+TRIALS = 20
+
 
 @dataclass
 class CheckResult:
@@ -41,21 +44,17 @@ class CheckResult:
 
 
 def random_memory(
-    rng: np.random.Generator,
-    n: int,
-    m: int,
-    capacity: int | None = None,
-    eig_range: tuple[float, float] = (0.5, 5.0),
+    rng: np.random.Generator, n: int, m: int, capacity: int | None = None
 ) -> PairMemory:
     """Memory filled with m pairs sampled from a random SPD quadratic.
 
     Steps are standard normal and y = H s for a fixed random SPD matrix H
-    with eigenvalues in ``eig_range``, so every pair passes the curvature
-    gate and the resulting B stays well conditioned.
+    with eigenvalues in [0.5, 5], so every pair passes the curvature gate
+    and the resulting B stays well conditioned.
     """
     mem = PairMemory(n, capacity if capacity is not None else max(m, 1))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = rng.uniform(*eig_range, size=n)
+    lam = rng.uniform(0.5, 5.0, size=n)
     h = (q * lam) @ q.T
     accepted = 0
     while accepted < m:
@@ -70,8 +69,10 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.linalg.norm(got - want)) / (scale if scale > 0.0 else 1.0)
 
 
-def check_gradients(n: int = 100, seed: int = 0) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_gradients() -> CheckResult:
+    """Every problem at n = 100, at x0 and five random points around it."""
+    n = 100
+    rng = np.random.default_rng(0)
     worst = 0.0
     for name in PROBLEM_NAMES:
         problem = make(name, n)
@@ -82,10 +83,10 @@ def check_gradients(n: int = 100, seed: int = 0) -> CheckResult:
     return CheckResult("gradients vs central differences", worst <= 1e-5, worst, 1e-5)
 
 
-def check_products(seed: int = 1, trials: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_products() -> CheckResult:
+    rng = np.random.default_rng(1)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         n = int(rng.integers(5, 40))
         m = int(rng.integers(0, 8))
         mem = random_memory(rng, n, m)
@@ -96,10 +97,10 @@ def check_products(seed: int = 1, trials: int = 20) -> CheckResult:
     return CheckResult("compact products vs dense", worst <= 1e-10, worst, 1e-10)
 
 
-def check_shifted(seed: int = 2, trials: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_shifted() -> CheckResult:
+    rng = np.random.default_rng(2)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         n = int(rng.integers(5, 40))
         m = int(rng.integers(1, 8))
         mem = random_memory(rng, n, m)
@@ -111,10 +112,10 @@ def check_shifted(seed: int = 2, trials: int = 20) -> CheckResult:
     return CheckResult("shifted recursion vs dense LU", worst <= 1e-8, worst, 1e-8)
 
 
-def check_mss(seed: int = 3, trials: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_mss() -> CheckResult:
+    rng = np.random.default_rng(3)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         n = int(rng.integers(10, 40))
         m = int(rng.integers(0, 6))
         mem = random_memory(rng, n, m)
@@ -132,10 +133,10 @@ def check_mss(seed: int = 3, trials: int = 20) -> CheckResult:
     return CheckResult("mss_solve optimality and dense reference", worst <= 1e-6, worst, 1e-6)
 
 
-def check_newton_update(seed: int = 4, trials: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_newton_update() -> CheckResult:
+    rng = np.random.default_rng(4)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         n = int(rng.integers(5, 30))
         mem = random_memory(rng, n, int(rng.integers(1, 6)))
         dense = mem.materialize_dense()
@@ -155,11 +156,11 @@ def check_newton_update(seed: int = 4, trials: int = 20) -> CheckResult:
     return CheckResult("Gram-space Newton sigma step vs Cholesky form", worst <= 1e-10, worst, 1e-10)
 
 
-def check_boundary_accuracy(seed: int = 5, trials: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_boundary_accuracy() -> CheckResult:
+    rng = np.random.default_rng(5)
     worst = 0.0
     opts = MssOptions()
-    for _ in range(trials):
+    for _ in range(TRIALS):
         n = int(rng.integers(10, 40))
         mem = random_memory(rng, n, int(rng.integers(0, 6)))
         g = rng.standard_normal(n)
@@ -170,12 +171,12 @@ def check_boundary_accuracy(seed: int = 5, trials: int = 20) -> CheckResult:
     return CheckResult("mss boundary accuracy", worst <= opts.tau_ms, worst, opts.tau_ms)
 
 
-def run_all_checks(seed: int = 0) -> list[CheckResult]:
+def run_all_checks() -> list[CheckResult]:
     return [
-        check_gradients(seed=seed),
-        check_products(seed=seed + 1),
-        check_shifted(seed=seed + 2),
-        check_mss(seed=seed + 3),
-        check_newton_update(seed=seed + 4),
-        check_boundary_accuracy(seed=seed + 5),
+        check_gradients(),
+        check_products(),
+        check_shifted(),
+        check_mss(),
+        check_newton_update(),
+        check_boundary_accuracy(),
     ]

@@ -9,11 +9,11 @@ of every finite trial to the memory whether or not the step was accepted
 
 Cost per iteration at large n: the solver's pass P' x that forms p, and
 the memory's two passes P s and P y when it stores a pair.  The solver's
-pass u = P g is skipped whenever the driver can carry u from the
-previous iteration (:meth:`PairMemory.carry`): after a rejected step
-(two dot products for a newly stored pair), and after an accepted step
-whose pair was stored, as P g_trial = P g + P y.  A carried u keeps
-the rounding of each step it was carried across, so the driver tracks a
+pass u = P g is skipped when the driver can carry u from the previous
+iteration: after a rejected step that stored no pair (g and P are
+unchanged), and after an accepted step whose pair was stored, as
+P g_trial = P g + P y (:meth:`PairMemory.carry`).  A carried u keeps the
+rounding of each step it was carried across, so the driver tracks a
 bound on it and forms u afresh once the bound passes CARRY_BOUND.
 """
 
@@ -188,11 +188,10 @@ def minimize(
             ratio = -math.inf  # reject and shrink on non-finite trials
         accepted = ratio >= ETA1
 
-        p_norm = float(np.linalg.norm(p))
         if ratio >= ETA2:
-            delta = min(GAMMA1 * p_norm, DELTA_HAT)
+            delta = min(GAMMA1 * result.p_norm, DELTA_HAT)
         elif accepted:
-            delta = p_norm
+            delta = result.p_norm
         else:
             delta = GAMMA2 * delta
 
@@ -202,18 +201,21 @@ def minimize(
         y = g_trial - g if trial_finite else None
         pair_stored = trial_finite and mem.try_update(p, y)
 
+        # pg stays valid only while g and the memory both stay put, or is
+        # carried to P g_trial across an accepted step that stored a pair.
         if accepted:
             gnorm_trial = math.sqrt(gg_trial)
-            pg_error += float(np.linalg.norm(y)) + gnorm_trial
+            if pair_stored:
+                pg_error += float(np.linalg.norm(y)) + gnorm_trial
             if pair_stored and pg_error <= CARRY_BOUND * gnorm_trial:
-                pg = mem.carry(pg, g, add_y=True)
+                pg = mem.carry(pg, g)
             else:
                 pg = None
             x, f, g, gnorm = x_trial, f_trial, g_trial, gnorm_trial
             accepted_steps += 1
         else:
             if pair_stored:
-                pg = mem.carry(pg, g)
+                pg = None
             rejected_steps += 1
 
         if callback is not None:

@@ -26,8 +26,9 @@ solves, and both solvers' Gram-space iterations.
 Costs: two O(M n) matrix-vector passes, P s and P y over the updated
 panel, to refresh G per accepted pair; O(M^3) to build C and K_H (no
 n-length work); O(M n) per product.  P y is also the step from P g to
-P g_trial for the driver's next solve (:meth:`PairMemory.carry`), so an
-accepted step whose pair was stored needs no fresh pass u = P g_trial.
+P g_trial = P (g + y) for the driver's next solve
+(:meth:`PairMemory.carry`), so an accepted step whose pair was stored
+needs no fresh pass u = P g_trial.
 """
 
 from __future__ import annotations
@@ -176,12 +177,13 @@ class PairMemory:
     def try_update(self, s_plus, y_plus) -> bool:
         """Offer a new pair; store it only if the curvature gate passes.
 
-        Returns True iff sqrt(eps) < s^T y < 1/sqrt(eps).  On acceptance
-        the pair overwrites the oldest slot when full, its Gram rows are
-        refreshed from the products P s and P y with the updated panel
-        (two matrix-vector passes: OpenBLAS runs them faster than one
-        product with the two columns [s y]), and gamma is recomputed
-        from the new pair.  On rejection the memory is untouched.
+        Returns True iff sqrt(eps) < s^T y < 1/sqrt(eps) and s^T s and
+        y^T y are finite.  On acceptance the pair overwrites the oldest
+        slot when full, its Gram rows are refreshed from the products P s
+        and P y with the updated panel (two matrix-vector passes: OpenBLAS
+        runs them faster than one product with the two columns [s y]), and
+        gamma is recomputed from the new pair.  On rejection the memory is
+        untouched.
         """
         s = self._check_dim(s_plus, "s_plus")
         y = self._check_dim(y_plus, "y_plus")
@@ -189,6 +191,11 @@ class PairMemory:
         # NaN compares false on both sides, so non-finite data is rejected.
         if not (SQRT_EPS < sy < 1.0 / SQRT_EPS):
             return False
+        # By Cauchy-Schwarz each new Gram entry is at most the larger of
+        # two squared row norms, so finite s^T s and y^T y keep G finite.
+        with np.errstate(over="ignore"):
+            if not (math.isfinite(s @ s) and math.isfinite(y @ y)):
+                return False
         if self._m < self.capacity:
             slot = self._m
             self._m += 1
@@ -209,17 +216,16 @@ class PairMemory:
         self._version += 1
         return True
 
-    def carry(self, pg: PanelProduct, g, add_y: bool = False) -> PanelProduct:
-        """Bring pg = P g across the update that stored the newest pair (s, y).
+    def carry(self, pg: PanelProduct, g) -> PanelProduct:
+        """Bring pg = P g across an accepted step that stored the newest pair (s, y).
 
         ``pg`` must be from the version just before that update, else
-        ValueError.  Its entries for the other slots are kept and the
-        newest slot's two become the direct products s^T g and y^T g,
-        which gives P g for the current panel.  With ``add_y`` the newest
-        pair's Gram column, P y, is added too, which gives P (g + y): the
-        product with the trial gradient g + y after an accepted step, with
-        no pass over the panel.  Each carried entry adds the rounding of
-        one product with y and of one addition to that of ``pg``.
+        ValueError.  Returns P (g + y), the product with the trial
+        gradient g + y, with no pass over the panel: the entries for the
+        other slots are kept, the newest slot's two become the direct
+        products s^T g and y^T g, and the newest pair's Gram column P y
+        is added.  Each carried entry adds the rounding of one product
+        with y and of one addition to that of ``pg``.
         """
         if pg.version != self._version - 1:
             raise ValueError("product is not from the version before the last update")
@@ -230,8 +236,7 @@ class PairMemory:
         u[: pg.u.size] = pg.u  # when the memory grew, the new slot is last
         u[s_row] = self._panel[s_row] @ g
         u[y_row] = self._panel[y_row] @ g
-        if add_y:
-            u += self._gram[:k, y_row]
+        u += self._gram[:k, y_row]
         return PanelProduct(u, self._version)
 
     def inv_multiply(self, z) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .memory import EPS
 
 _FD_STEP = EPS ** (1.0 / 3.0)
+_FD_COORDS = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,49 +172,21 @@ def _engval1(x):
     return float(f), g
 
 
-def _const(value):
-    return lambda n: np.full(n, float(value))
-
-
-def _tiled(pattern):
-    pattern = np.asarray(pattern, dtype=float)
-
-    def start(n):
-        return np.tile(pattern, n // pattern.size)
-
-    return start
-
-
-def _min_n(k):
-    def check(name, n):
-        if n < k:
-            raise ValueError(f"{name} needs n >= {k}, got {n}")
-
-    return check
-
-
-def _block(size, k):
-    def check(name, n):
-        if n < k or n % size:
-            raise ValueError(f"{name} needs n >= {k} divisible by {size}, got {n}")
-
-    return check
-
-
-# name -> (eval, default start builder, dimension validator)
+# name -> (eval, start pattern, min_n).  The start tiles the pattern, so
+# n must also be a multiple of its length: one block of srosenbr or woods.
 _REGISTRY = {
-    "srosenbr": (_srosenbr, _tiled([-1.2, 1.0]), _block(2, 2)),
-    "arwhead": (_arwhead, _const(1.0), _min_n(2)),
-    "dqdrtic": (_dqdrtic, _const(3.0), _min_n(3)),
-    "dqrtic": (_dqrtic, _const(2.0), _min_n(2)),
-    "eg2": (_eg2, _const(0.0), _min_n(2)),
-    "cosine": (_cosine, _const(1.0), _min_n(2)),
-    "nondia": (_nondia, _const(-1.0), _min_n(2)),
-    "liarwhd": (_liarwhd, _const(4.0), _min_n(2)),
-    "power": (_power, _const(1.0), _min_n(2)),
-    "tridia": (_tridia, _const(1.0), _min_n(2)),
-    "woods": (_woods, _tiled([-3.0, -1.0, -3.0, -1.0]), _block(4, 4)),
-    "engval1": (_engval1, _const(2.0), _min_n(2)),
+    "srosenbr": (_srosenbr, (-1.2, 1.0), 2),
+    "arwhead": (_arwhead, (1.0,), 2),
+    "dqdrtic": (_dqdrtic, (3.0,), 3),
+    "dqrtic": (_dqrtic, (2.0,), 2),
+    "eg2": (_eg2, (0.0,), 2),
+    "cosine": (_cosine, (1.0,), 2),
+    "nondia": (_nondia, (-1.0,), 2),
+    "liarwhd": (_liarwhd, (4.0,), 2),
+    "power": (_power, (1.0,), 2),
+    "tridia": (_tridia, (1.0,), 2),
+    "woods": (_woods, (-3.0, -1.0, -3.0, -1.0), 4),
+    "engval1": (_engval1, (2.0,), 2),
 }
 
 PROBLEM_NAMES = tuple(_REGISTRY)
@@ -225,8 +198,12 @@ def make(name: str, n: int = 1000) -> ProblemInstance:
         raise ValueError(
             f"unknown problem {name!r}; supported: {', '.join(PROBLEM_NAMES)}"
         )
-    fn, start, check = _REGISTRY[name]
-    check(name, int(n))
+    fn, pattern, min_n = _REGISTRY[name]
+    n = int(n)
+    block = len(pattern)
+    if n < min_n or n % block:
+        divisible = f" divisible by {block}" if block > 1 else ""
+        raise ValueError(f"{name} needs n >= {min_n}{divisible}, got {n}")
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -234,19 +211,17 @@ def make(name: str, n: int = 1000) -> ProblemInstance:
             raise ValueError(f"x has shape {x.shape}, expected ({n},)")
         return fn(x)
 
-    return ProblemInstance(name=name, n=int(n), eval=evaluate, x0=start(int(n)))
+    return ProblemInstance(name=name, n=n, eval=evaluate, x0=np.tile(pattern, n // block))
 
 
-def fd_gradient_check(
-    problem: ProblemInstance, x, max_coords: int = 50, seed: int = 0
-) -> float:
+def fd_gradient_check(problem: ProblemInstance, x) -> float:
     """Worst scaled deviation between analytic and central-difference gradient.
 
     Per coordinate i the step is h = eps^(1/3) * max(1, |x_i|); deviations
     are scaled by max(1, ||g||_inf) so the result is comparable across
     problems of very different gradient magnitude.  All coordinates are
-    checked for n <= 200, otherwise ``max_coords`` coordinates are sampled
-    with the given seed.  Returns inf if any probe evaluates non-finite.
+    checked for n <= 200, otherwise _FD_COORDS = 50 coordinates drawn with
+    seed 0.  Returns inf if any probe evaluates non-finite.
     """
     x = np.asarray(x, dtype=float)
     _, g = problem.eval(x)
@@ -254,7 +229,7 @@ def fd_gradient_check(
     if n <= 200:
         coords = np.arange(n)
     else:
-        coords = np.random.default_rng(seed).choice(n, size=max_coords, replace=False)
+        coords = np.random.default_rng(0).choice(n, size=_FD_COORDS, replace=False)
     scale = max(1.0, float(np.max(np.abs(g))))
     worst = 0.0
     for i in coords:

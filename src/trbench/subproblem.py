@@ -49,6 +49,8 @@ BREAKDOWN = "breakdown"
 # with n; min(n, STEIHAUG_MAX_ITERATIONS) for CG, which ends in n steps.
 MSS_MAX_ITERATIONS = 100
 STEIHAUG_MAX_ITERATIONS = 100
+# Relative boundary accuracy of :func:`dense_reference_solve`.
+REFERENCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,12 @@ class MssOptions:
 class SubproblemResult:
     """Solver output: step, multiplier, exit status and counters.
 
-    ``pg`` is the P g the solve used, for a caller to carry to the next one.
+    ``p_norm`` is ||p||, taken in n-space from the returned p.  ``pg`` is
+    the P g the solve used, for a caller to carry to the next one.
     """
 
     p: np.ndarray
+    p_norm: float
     sigma: float
     status: str
     inner_iterations: int
@@ -317,6 +321,7 @@ def mss_solve(
         p_norm = float(np.linalg.norm(p))
     return SubproblemResult(
         p=p,
+        p_norm=p_norm,
         sigma=it.sigma,
         status=status,
         inner_iterations=iterations,
@@ -440,8 +445,10 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
     """
     f = frame(mem, sp)
     cg = gram_cg(mem, f, sp.delta)
+    p = frame_step(mem, sp.g, cg.x)
     return SubproblemResult(
-        p=frame_step(mem, sp.g, cg.x),
+        p=p,
+        p_norm=float(np.linalg.norm(p)),
         sigma=0.0,
         status=cg.status,
         inner_iterations=cg.iterations,
@@ -450,15 +457,14 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
     )
 
 
-def dense_reference_solve(
-    b_dense, g, delta: float, tol: float = 1e-10
-) -> tuple[np.ndarray, float]:
+def dense_reference_solve(b_dense, g, delta: float) -> tuple[np.ndarray, float]:
     """Reference solver on an explicit SPD matrix (test oracle, small n).
 
     Uses an eigendecomposition B = Q diag(lam) Q^T.  If the unconstrained
     minimizer fits inside the region it is returned with sigma = 0;
     otherwise sigma solves sum_i (q_i^T g)^2 / (lam_i + sigma)^2 = delta^2
-    by bisection on the pole function, to |(||p|| - delta)| <= tol*delta.
+    by bisection on the pole function, to
+    |(||p|| - delta)| <= REFERENCE_TOL * delta with REFERENCE_TOL = 1e-10.
     """
     b_dense = np.asarray(b_dense, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -489,7 +495,7 @@ def dense_reference_solve(
     for _ in range(300):
         sigma = 0.5 * (lo + hi)
         norm = p_norm(sigma)
-        if abs(norm - delta) <= tol * delta:
+        if abs(norm - delta) <= REFERENCE_TOL * delta:
             break
         if norm > delta:
             lo = sigma

@@ -146,16 +146,26 @@ class TestMinimize:
         for xa, xb in zip(first[1], second[1]):
             np.testing.assert_array_equal(xa, xb)
 
-    def test_rejected_step_can_still_store_pair(self):
+    def test_rejected_step_can_still_store_pair(self, monkeypatch):
         # f jumps up at the first trial point (step rejected) while the
         # gradient difference still has healthy curvature (pair stored).
+        # g stays but the panel has grown, so the next solve gets no
+        # carried P g and forms it itself.
         table = {
             0.0: (0.0, -1.0),
             1.0: (5.0, 1.0),
             0.5: (-1.0, 1e-9),
         }
+        seen = []
+
+        def solve(mem, sp):
+            seen.append((mem.m, sp.pg))
+            return mss_solve(mem, sp)
+
+        monkeypatch.setattr(driver, "mss_solve", solve)
         trace = []
         result = minimize(table_problem(table), callback=trace.append)
+        assert seen[1] == (1, None)
         assert result.status == CONVERGED
         first = trace[0]
         assert not first["accepted"]

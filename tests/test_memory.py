@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,20 @@ class TestTryUpdate:
             mem.try_update(np.ones(2), np.ones(3))
         with pytest.raises(ValueError):
             mem.try_update(np.ones(3), np.ones(4))
+
+    def test_overflowing_gram_entry_rejected(self, rng):
+        # s^T y = 4.8e4 passes the gate, but y^T y overflows: the pair is
+        # refused before it overwrites the oldest slot of the full memory,
+        # so G never holds inf.
+        mem = random_memory(rng, 4, 2)
+        before = (mem.m, mem.version, mem.gamma)
+        panel, gram = mem.panel.copy(), mem.gram.copy()
+        g = 6e153 * np.ones(4)
+        assert math.isfinite(float(g @ g))
+        assert not mem.try_update(-1e-150 * np.ones(4), -g - g)
+        assert (mem.m, mem.version, mem.gamma) == before
+        np.testing.assert_array_equal(mem.panel, panel)
+        np.testing.assert_array_equal(mem.gram, gram)
 
     def test_gamma_thresholded_from_below(self):
         mem = PairMemory(2)
@@ -252,11 +268,9 @@ def test_carry_matches_direct_product_through_wrap_around(rng):
         y = rng.uniform(0.5, 2.0, n) * s
         pg = PanelProduct(mem.panel @ g, mem.version)
         assert mem.try_update(s, y)
-        kept = mem.carry(pg, g)
-        moved = mem.carry(pg, g, add_y=True)
-        assert kept.version == moved.version == mem.version
+        moved = mem.carry(pg, g)
+        assert moved.version == mem.version
         scale = np.linalg.norm(mem.panel, axis=1) * (np.linalg.norm(g) + np.linalg.norm(y))
-        np.testing.assert_array_less(np.abs(kept.u - mem.panel @ g), 4 * n * EPS * scale)
         np.testing.assert_array_less(np.abs(moved.u - mem.panel @ (g + y)), 4 * n * EPS * scale)
     assert mem.m == 3
 

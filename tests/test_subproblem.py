@@ -433,6 +433,7 @@ def test_known_panel_product_is_used_and_checked(rng, solve):
     mem, sp = boundary_instance(rng, 30, 3)
     direct = solve(mem, sp)
     np.testing.assert_array_equal(direct.pg.u, mem.panel @ sp.g)
+    assert direct.p_norm == np.linalg.norm(direct.p)
     given = solve(mem, Subproblem(g=sp.g, delta=sp.delta, pg=direct.pg))
     np.testing.assert_array_equal(given.p, direct.p)
     assert given.pg.version == mem.version
