@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -18,11 +18,6 @@ from .problems import ProblemInstance, make
 # Status of a run that ended in an exception, as distinct from the
 # driver's own exits (converged, radius_too_small, fe_budget_exhausted).
 ERROR = "error"
-
-CSV_HEADER = [
-    "problem", "n", "solver", "status", "time_sec",
-    "fe", "inner_iters", "f_final", "gnorm_final",
-]
 
 
 @dataclass
@@ -38,6 +33,13 @@ class RunRecord:
     inner_iters: int
     f_final: float
     gnorm_final: float
+
+
+# The CSV schema is RunRecord's fields: one column each, in field order,
+# parsed by the field's type (a string under postponed annotations).
+_COLUMNS = fields(RunRecord)
+CSV_HEADER = [column.name for column in _COLUMNS]
+_PARSERS = {"str": str, "int": int, "float": float}
 
 
 @dataclass
@@ -64,10 +66,7 @@ def _count_eval(problem: ProblemInstance):
         counter["fe"] += 1
         return problem.eval(x)
 
-    wrapped = ProblemInstance(
-        name=problem.name, n=problem.n, eval=evaluate, x0=problem.x0
-    )
-    return wrapped, counter
+    return replace(problem, eval=evaluate), counter
 
 
 def _run_one(name: str, n: int, solver: str, config: TrConfig) -> RunRecord:
@@ -193,11 +192,8 @@ def write_csv(records: list[RunRecord], path) -> None:
         writer.writerow(CSV_HEADER)
         for r in records:
             writer.writerow(
-                [
-                    r.problem, r.n, r.solver, r.status, repr(float(r.time_sec)),
-                    r.fe, r.inner_iters, repr(float(r.f_final)),
-                    repr(float(r.gnorm_final)),
-                ]
+                repr(float(v)) if c.type == "float" else v
+                for c, v in zip(_COLUMNS, astuple(r))
             )
 
 
@@ -216,12 +212,7 @@ def read_csv(path) -> list[RunRecord]:
                 raise CsvFormatError(f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
             try:
                 records.append(
-                    RunRecord(
-                        problem=row[0], n=int(row[1]), solver=row[2], status=row[3],
-                        time_sec=float(row[4]), fe=int(row[5]),
-                        inner_iters=int(row[6]), f_final=float(row[7]),
-                        gnorm_final=float(row[8]),
-                    )
+                    RunRecord(*(_PARSERS[c.type](cell) for c, cell in zip(_COLUMNS, row)))
                 )
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from exc

@@ -12,9 +12,9 @@ the memory's two passes P s and P y when it stores a pair.  The solver's
 pass u = P g is skipped when the driver can carry u from the previous
 iteration: after a rejected step that stored no pair (g and P are
 unchanged), and after an accepted step whose pair was stored, as
-P g_trial = P g + P y (:meth:`PairMemory.carry`).  A carried u keeps the
-rounding of each step it was carried across, so the driver tracks a
-bound on it and forms u afresh once the bound passes CARRY_BOUND.
+P g_trial = P g + P y (:meth:`PairMemory.carry`).  The product holds its
+own rounding bound, and ``carry`` returns None once that bound is too
+large, so the next solve forms u afresh.
 """
 
 from __future__ import annotations
@@ -47,13 +47,6 @@ ETA1 = 0.01
 ETA2 = 0.95
 MIN_DELTA = 1e-13
 MAX_FE = 1000
-# A carried u = P g is used while its rounding bound, in units of
-# eps ||panel row||, stays within CARRY_BOUND ||g||: a fresh product
-# stands at ||g||.  Chosen for accuracy, not for evaluation counts:
-# unguarded, nondia at n = 1e5 (a gradient falling 1.7e4-fold in one
-# step) left the carried u off by 7.9e-9 ||row|| ||g||; with the bound
-# the worst over the n = 1e5 grid is 5.9e-12.
-CARRY_BOUND = 64.0
 
 
 @dataclass
@@ -146,7 +139,6 @@ def minimize(
     rejected_steps = 0
     iteration = 0
     pg = None  # P g at mem's current version, when carried; else the solver forms it
-    pg_error = 0.0  # bound on pg's rounding in units of eps ||panel row||
     # Bound per minimize() call, so a solver patched onto this module is used.
     solve = mss_solve if config.solver == "mss" else steihaug_solve
 
@@ -162,8 +154,6 @@ def minimize(
             break
 
         iteration += 1
-        if pg is None:
-            pg_error = gnorm  # the solver forms P g directly
         t0 = time.perf_counter()
         result = solve(mem, Subproblem(g=g, delta=delta, pg=pg))
         subproblem_time += time.perf_counter() - t0
@@ -202,15 +192,11 @@ def minimize(
         pair_stored = trial_finite and mem.try_update(p, y)
 
         # pg stays valid only while g and the memory both stay put, or is
-        # carried to P g_trial across an accepted step that stored a pair.
+        # carried to P g_trial across an accepted step that stored a pair
+        # while its rounding bound allows.
         if accepted:
             gnorm_trial = math.sqrt(gg_trial)
-            if pair_stored:
-                pg_error += float(np.linalg.norm(y)) + gnorm_trial
-            if pair_stored and pg_error <= CARRY_BOUND * gnorm_trial:
-                pg = mem.carry(pg, g)
-            else:
-                pg = None
+            pg = mem.carry(pg, g, gnorm_trial) if pair_stored else None
             x, f, g, gnorm = x_trial, f_trial, g_trial, gnorm_trial
             accepted_steps += 1
         else:

@@ -28,7 +28,8 @@ panel, to refresh G per accepted pair; O(M^3) to build C and K_H (no
 n-length work); O(M n) per product.  P y is also the step from P g to
 P g_trial = P (g + y) for the driver's next solve
 (:meth:`PairMemory.carry`), so an accepted step whose pair was stored
-needs no fresh pass u = P g_trial.
+needs no fresh pass u = P g_trial.  The product carries its rounding
+bound, and ``carry`` declines once it passes CARRY_BOUND ||g_trial||.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ from .errors import NumericalBreakdownError
 
 EPS = float(np.finfo(float).eps)
 SQRT_EPS = math.sqrt(EPS)
+# A carried u = P g is used while its rounding bound, in units of
+# eps ||panel row||, stays within CARRY_BOUND ||g||: a fresh product
+# stands at ||g||.  Chosen for accuracy, not for evaluation counts:
+# unguarded, nondia at n = 1e5 (a gradient falling 1.7e4-fold in one
+# step) left the carried u off by 7.9e-9 ||row|| ||g||; with the bound
+# the worst over the n = 1e5 grid is 5.9e-12.
+CARRY_BOUND = 64.0
 
 
 def fold(rows, weights, v) -> np.ndarray:
@@ -67,12 +75,16 @@ def panel_apply(panel, base, rows, weights, y) -> np.ndarray:
 class PanelProduct:
     """u = P v for a memory's panel P at one ``version`` of the memory.
 
-    Solvers accept it in place of their own pass over the panel and
-    reject it once the memory has changed (see :meth:`PairMemory.carry`).
+    ``error`` bounds the rounding of every entry of u in units of
+    eps ||panel row||: ||v|| for a direct product, plus what each
+    :meth:`PairMemory.carry` adds.  Solvers accept the product in place
+    of their own pass over the panel and reject it once the memory has
+    changed.
     """
 
     u: np.ndarray
     version: int
+    error: float
 
 
 @dataclass(frozen=True)
@@ -89,10 +101,6 @@ class AbVectors:
     rows: np.ndarray
     weights: np.ndarray
     k_h: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.rows.shape[0] // 2
 
 
 class PairMemory:
@@ -216,28 +224,34 @@ class PairMemory:
         self._version += 1
         return True
 
-    def carry(self, pg: PanelProduct, g) -> PanelProduct:
+    def carry(self, pg: PanelProduct, g, gnorm_trial: float) -> PanelProduct | None:
         """Bring pg = P g across an accepted step that stored the newest pair (s, y).
 
         ``pg`` must be from the version just before that update, else
         ValueError.  Returns P (g + y), the product with the trial
-        gradient g + y, with no pass over the panel: the entries for the
-        other slots are kept, the newest slot's two become the direct
-        products s^T g and y^T g, and the newest pair's Gram column P y
-        is added.  Each carried entry adds the rounding of one product
-        with y and of one addition to that of ``pg``.
+        gradient g + y of norm ``gnorm_trial``, with no pass over the
+        panel: the entries for the other slots are kept, the newest
+        slot's two become the direct products s^T g and y^T g, and the
+        newest pair's Gram column P y is added.  Each carried entry adds
+        the rounding of one product with y and of one addition, so the
+        bound grows by ||y|| + ||g_trial||, with ||y|| read from the
+        diagonal of G.  Returns None, forming nothing, once that bound
+        passes CARRY_BOUND ||g_trial||: the next solve forms u afresh.
         """
         if pg.version != self._version - 1:
             raise ValueError("product is not from the version before the last update")
         k = 2 * self._m
         slot = (self._head + self._m - 1) % self.capacity  # the newest pair
         s_row, y_row = 2 * slot, 2 * slot + 1
+        error = pg.error + (math.sqrt(self._gram[y_row, y_row]) + gnorm_trial)
+        if error > CARRY_BOUND * gnorm_trial:
+            return None
         u = np.empty(k)
         u[: pg.u.size] = pg.u  # when the memory grew, the new slot is last
         u[s_row] = self._panel[s_row] @ g
         u[y_row] = self._panel[y_row] @ g
         u += self._gram[:k, y_row]
-        return PanelProduct(u, self._version)
+        return PanelProduct(u, self._version, error)
 
     def inv_multiply(self, z) -> np.ndarray:
         """Return B^{-1} z from the compact inverse with B0^{-1} = gamma I."""

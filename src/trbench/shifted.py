@@ -60,7 +60,6 @@ class ShiftedRecursionState:
     the memory the state solves against, ``mem_version`` its version then.
     """
 
-    sigma: float
     base: float  # (gamma^{-1} + sigma)^{-1}
     r_coef: np.ndarray  # (2m, 2m)
     weights: np.ndarray  # (2m,), (-1)^{k+1} v_k
@@ -96,8 +95,7 @@ def prepare(mem: PairMemory, sigma: float) -> ShiftedRecursionState:
         r[k] = rk
         weights[k] = -ab.weights[k] / denom
     return ShiftedRecursionState(
-        sigma=sigma, base=base, r_coef=r, weights=weights,
-        mem=mem, mem_version=mem.version,
+        base=base, r_coef=r, weights=weights, mem=mem, mem_version=mem.version,
     )
 
 

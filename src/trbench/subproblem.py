@@ -106,7 +106,9 @@ class SubproblemResult:
     """Solver output: step, multiplier, exit status and counters.
 
     ``p_norm`` is ||p||, taken in n-space from the returned p.  ``pg`` is
-    the P g the solve used, for a caller to carry to the next one.
+    the P g the solve used, for a caller to carry to the next one: the
+    given ``Subproblem.pg`` unchanged, else the product the solve formed,
+    whose rounding bound is ||g||.
     """
 
     p: np.ndarray
@@ -326,7 +328,7 @@ def mss_solve(
         status=status,
         inner_iterations=iterations,
         model_reduction=0.5 * (it.sigma * p_norm**2 - float(g @ p)),
-        pg=PanelProduct(f[0, 1:], mem.version),
+        pg=sp.pg or PanelProduct(f[0, 1:], mem.version, math.sqrt(sp.gg)),
     )
 
 
@@ -453,7 +455,7 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
         status=cg.status,
         inner_iterations=cg.iterations,
         model_reduction=-cg.model_value,
-        pg=PanelProduct(f[0, 1:], mem.version),
+        pg=sp.pg or PanelProduct(f[0, 1:], mem.version, math.sqrt(sp.gg)),
     )
 
 

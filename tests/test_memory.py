@@ -5,6 +5,7 @@ import pytest
 
 from trbench import EPS, SQRT_EPS, NumericalBreakdownError, PairMemory, PanelProduct
 from trbench.diagnostics import random_memory
+from trbench.memory import CARRY_BOUND
 
 
 def e(i, n):
@@ -188,7 +189,7 @@ class TestAbVectors:
     def test_lengths_match_pair_count(self, rng):
         mem = random_memory(rng, 6, 4)
         ab = mem.ab_vectors()
-        assert ab.m == mem.m == 4
+        assert mem.m == 4
         assert ab.rows.shape == (8, 8)  # 2m terms over 2m panel rows
         assert ab.weights.shape == (8,)
         assert (ab.rows @ mem.panel).shape == (8, 6)
@@ -266,9 +267,9 @@ def test_carry_matches_direct_product_through_wrap_around(rng):
         g = rng.standard_normal(n)
         s = rng.standard_normal(n)
         y = rng.uniform(0.5, 2.0, n) * s
-        pg = PanelProduct(mem.panel @ g, mem.version)
+        pg = PanelProduct(mem.panel @ g, mem.version, float(np.linalg.norm(g)))
         assert mem.try_update(s, y)
-        moved = mem.carry(pg, g)
+        moved = mem.carry(pg, g, float(np.linalg.norm(g + y)))
         assert moved.version == mem.version
         scale = np.linalg.norm(mem.panel, axis=1) * (np.linalg.norm(g) + np.linalg.norm(y))
         np.testing.assert_array_less(np.abs(moved.u - mem.panel @ (g + y)), 4 * n * EPS * scale)
@@ -278,11 +279,32 @@ def test_carry_matches_direct_product_through_wrap_around(rng):
 def test_carry_rejects_a_product_not_one_update_old(rng):
     mem = random_memory(rng, 6, 2)
     g = rng.standard_normal(6)
-    current = PanelProduct(mem.panel @ g, mem.version)
+    gnorm = float(np.linalg.norm(g))
+    current = PanelProduct(mem.panel @ g, mem.version, gnorm)
     with pytest.raises(ValueError):
-        mem.carry(current, g)  # no update since: nothing to carry across
+        mem.carry(current, g, gnorm)  # no update since: nothing to carry across
     s = rng.standard_normal(6)
     assert mem.try_update(s, 2.0 * s)
     assert mem.try_update(s, 3.0 * s)
     with pytest.raises(ValueError):
-        mem.carry(current, g)  # two updates old
+        mem.carry(current, g, gnorm)  # two updates old
+
+
+def test_carry_refuses_past_its_bound(rng):
+    # carry adds ||y|| + ||g_trial|| to the product's bound, with ||y||
+    # read from G's diagonal; a sum past CARRY_BOUND ||g_trial|| returns
+    # None, forms nothing and leaves the memory as it was.
+    n = 6
+    mem = random_memory(rng, n, 2)
+    g = rng.standard_normal(n)
+    u, before = mem.panel @ g, mem.version
+    assert mem.try_update(e(0, n), 2.0 * e(0, n))  # ||y|| = 2 exactly
+    panel, gram, version = mem.panel.copy(), mem.gram.copy(), mem.version
+    gnorm_trial = 1.0
+    at_bound = CARRY_BOUND * gnorm_trial - (2.0 + gnorm_trial)
+    kept = mem.carry(PanelProduct(u, before, at_bound), g, gnorm_trial)
+    assert kept.error == CARRY_BOUND * gnorm_trial
+    assert mem.carry(PanelProduct(u, before, at_bound + 1.0), g, gnorm_trial) is None
+    assert mem.version == version
+    np.testing.assert_array_equal(mem.panel, panel)
+    np.testing.assert_array_equal(mem.gram, gram)

@@ -51,6 +51,7 @@ from trbench import (
 from trbench import driver
 from trbench.bench import ERROR
 from trbench.driver import SOLVERS
+from trbench.memory import CARRY_BOUND
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -303,15 +304,15 @@ def test_carried_panel_product_within_its_bound(name, n, memory, solver):
     # At every solve of a run, a P g the driver carried matches the direct
     # product to the rounding bound the carry keeps: each entry of a
     # length-n product of a panel row r with a vector v rounds by at most
-    # c eps ||r|| ||v|| with c = n.  The driver carries while its bound,
-    # in units of c eps ||r||, is at most CARRY_BOUND ||g||; the direct
-    # product compared against adds one ||g|| more.
+    # c eps ||r|| ||v|| with c = n.  PairMemory.carry carries while the
+    # bound, in units of c eps ||r||, is at most CARRY_BOUND ||g||; the
+    # direct product compared against adds one ||g|| more.
     solve = getattr(driver, f"{solver}_solve")
 
     def checked(mem, sp):
         if sp.pg is not None and mem.m:
             rows = np.linalg.norm(mem.panel, axis=1)
-            bound = n * EPS * (driver.CARRY_BOUND + 1.0) * float(np.linalg.norm(sp.g)) * rows
+            bound = n * EPS * (CARRY_BOUND + 1.0) * float(np.linalg.norm(sp.g)) * rows
             assert np.all(np.abs(sp.pg.u - mem.panel @ sp.g) <= bound)
         return solve(mem, sp)
 

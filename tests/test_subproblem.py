@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -433,17 +435,18 @@ def test_known_panel_product_is_used_and_checked(rng, solve):
     mem, sp = boundary_instance(rng, 30, 3)
     direct = solve(mem, sp)
     np.testing.assert_array_equal(direct.pg.u, mem.panel @ sp.g)
+    assert direct.pg.error == math.sqrt(sp.gg)  # a direct product's bound is ||g||
     assert direct.p_norm == np.linalg.norm(direct.p)
     given = solve(mem, Subproblem(g=sp.g, delta=sp.delta, pg=direct.pg))
     np.testing.assert_array_equal(given.p, direct.p)
-    assert given.pg.version == mem.version
-    doubled = PanelProduct(2.0 * direct.pg.u, mem.version)
+    assert given.pg is direct.pg  # a given product comes back unchanged
+    doubled = PanelProduct(2.0 * direct.pg.u, mem.version, direct.pg.error)
     used = solve(mem, Subproblem(g=sp.g, delta=sp.delta, pg=doubled))
-    np.testing.assert_array_equal(used.pg.u, doubled.u)
+    assert used.pg is doubled
     s = rng.standard_normal(30)
     assert mem.try_update(s, 2.0 * s)
     with pytest.raises(ValueError, match="stale"):
         solve(mem, Subproblem(g=sp.g, delta=sp.delta, pg=direct.pg))
     with pytest.raises(ValueError, match="stale"):
         solve(mem, Subproblem(g=sp.g, delta=sp.delta,
-                              pg=PanelProduct(np.zeros(2 * mem.m), mem.version - 1)))
+                              pg=PanelProduct(np.zeros(2 * mem.m), mem.version - 1, 0.0)))
