@@ -19,6 +19,9 @@ from .problems import ProblemInstance, make
 # driver's own exits (converged, radius_too_small, fe_budget_exhausted).
 ERROR = "error"
 
+# Profile metrics, each the RunRecord field it reads.
+METRICS = {"fe": "fe", "time": "time_sec"}
+
 
 @dataclass
 class RunRecord:
@@ -69,20 +72,20 @@ def _count_eval(problem: ProblemInstance):
     return replace(problem, eval=evaluate), counter
 
 
-def _run_one(name: str, n: int, solver: str, config: TrConfig) -> RunRecord:
-    problem, counter = _count_eval(make(name, n))
+def _run_one(problem: ProblemInstance, config: TrConfig) -> RunRecord:
+    counted, counter = _count_eval(problem)
     try:
-        result = minimize(problem, replace(config, solver=solver))
+        result = minimize(counted, config)
     except Exception:
         # A raise from the problem or the solver ends the run; keep the
         # counts, and leave the time unknown rather than zero.
         return RunRecord(
-            problem=name, n=n, solver=solver, status=ERROR,
+            problem=problem.name, n=problem.n, solver=config.solver, status=ERROR,
             time_sec=math.nan, fe=counter["fe"], inner_iters=0,
             f_final=math.nan, gnorm_final=math.nan,
         )
     return RunRecord(
-        problem=name, n=n, solver=solver, status=result.status,
+        problem=problem.name, n=problem.n, solver=config.solver, status=result.status,
         time_sec=result.subproblem_time, fe=result.fe_count,
         inner_iters=result.inner_iterations_total, f_final=result.f_final,
         gnorm_final=result.gnorm_final,
@@ -97,22 +100,22 @@ def run_suite(
     """Run every solver on every (name, n) problem, one run at a time, so
     each run's ``time_sec`` measures that run alone; rows sorted by
     (problem, n, solver).
+
+    Every solver's config and every problem instance (one for all
+    solvers) is built before the first run, so an empty list, an unknown
+    solver (:class:`TrConfig`) or a bad name or dimension (:func:`make`)
+    raises ValueError and nothing runs.  A raise during a run is recorded
+    with status ``error``.
     """
+    if not solvers or not problems:
+        raise ValueError("run_suite needs at least one solver and one problem")
     if config is None:
         config = TrConfig()
-    records = [
-        _run_one(name, n, solver, config) for name, n in problems for solver in solvers
-    ]
+    configs = [replace(config, solver=solver) for solver in solvers]
+    instances = [make(name, n) for name, n in problems]
+    records = [_run_one(problem, c) for problem in instances for c in configs]
     records.sort(key=lambda r: (r.problem, r.n, r.solver))
     return records
-
-
-def _metric_value(record: RunRecord, metric: str) -> float:
-    if metric == "fe":
-        return float(record.fe)
-    if metric == "time":
-        return float(record.time_sec)
-    raise ValueError(f"unknown metric {metric!r}, expected 'fe' or 'time'")
 
 
 def performance_profile(
@@ -123,8 +126,12 @@ def performance_profile(
     For each problem, each solver's metric is divided by the best metric
     among solvers that converged on it; solvers that failed get an
     infinite ratio and never count.  Problems that no solver converged on
-    are dropped from the denominator (a warning reports how many).
+    are dropped from the denominator (a warning reports how many).  An
+    unknown ``metric`` (see :data:`METRICS`) raises ValueError at entry.
     """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}, expected one of {tuple(METRICS)}")
+    column = METRICS[metric]
     if not records:
         raise ValueError("no records")
     solvers: list[str] = []
@@ -143,13 +150,13 @@ def performance_profile(
         if not solved:
             dropped += 1
             continue
-        best = min(_metric_value(r, metric) for r in solved)
+        best = min(float(getattr(r, column)) for r in solved)
         for solver in solvers:
             mine = [r for r in rows if r.solver == solver and r.status == CONVERGED]
             if not mine:
                 ratios[solver].append(math.inf)
                 continue
-            value = _metric_value(mine[0], metric)
+            value = float(getattr(mine[0], column))
             if best > 0.0:
                 ratios[solver].append(value / best)
             else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import performance_profile, read_csv, run_suite, write_csv, write_profile
+from .bench import METRICS, performance_profile, read_csv, run_suite, write_csv, write_profile
 from .diagnostics import run_all_checks
 from .driver import CONVERGED, SOLVERS, TrConfig
 from .problems import PROBLEM_NAMES
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     prof_p = sub.add_parser("profile", help="performance profile from a results CSV")
     prof_p.add_argument("--in", dest="input", required=True, help="results CSV path")
-    prof_p.add_argument("--metric", choices=("fe", "time"), default="fe")
+    prof_p.add_argument("--metric", choices=METRICS, default="fe")
     prof_p.add_argument("--out", required=True, help="profile CSV path")
     prof_p.add_argument("--svg", default=None, help="optional SVG plot path")
 
@@ -46,19 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
-    unknown = [s for s in solvers if s not in SOLVERS]
-    if not solvers or unknown:
-        print(f"error: bad --solver value {args.solver!r}", file=sys.stderr)
-        return 2
-    if args.problems == "all":
-        names = list(PROBLEM_NAMES)
-    else:
-        names = [p.strip() for p in args.problems.split(",") if p.strip()]
-        bad = [p for p in names if p not in PROBLEM_NAMES]
-        if not names or bad:
-            print(f"error: unknown problem(s): {', '.join(bad) or args.problems!r}",
-                  file=sys.stderr)
-            return 2
+    names = (list(PROBLEM_NAMES) if args.problems == "all"
+             else [p.strip() for p in args.problems.split(",") if p.strip()])
     try:
         config = TrConfig(memory=args.memory, tau=args.tau)
         records = run_suite(solvers, [(name, args.n) for name in names], config)

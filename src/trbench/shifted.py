@@ -107,9 +107,7 @@ def apply(state: ShiftedRecursionState, y) -> np.ndarray:
     mem = state.mem
     if state.mem_version != mem.version:
         raise ValueError("state is stale: memory changed after prepare()")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (mem.n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({mem.n},)")
+    y = mem._check_dim(y, "y")
     return panel_apply(mem.panel, state.base, state.r_coef, state.weights, y)
 
 

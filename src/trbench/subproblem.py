@@ -186,8 +186,7 @@ def frame(mem: PairMemory, sp: Subproblem) -> np.ndarray:
     with coordinates x is p = x[0] g + P^T x[1:] (:func:`frame_step`), so
     ||p||^2 = x^T F x and P p = (F x)[1:].
     """
-    if sp.g.shape != (mem.n,):
-        raise ValueError(f"g has shape {sp.g.shape}, expected ({mem.n},)")
+    mem._check_dim(sp.g, "g")
     if sp.pg is None:
         u = mem.panel @ sp.g
     elif sp.pg.version != mem.version:
@@ -380,7 +379,7 @@ def gram_cg(mem: PairMemory, f: np.ndarray, delta: float) -> GramCG:
     max_iterations = min(mem.n, STEIHAUG_MAX_ITERATIONS)
     rr = float(f[0, 0])  # ||r||^2 = g^T g at p = 0
     gnorm = math.sqrt(rr)
-    tolerance = gnorm * min(0.1, gnorm**0.1) if gnorm > 0.0 else 0.0
+    tolerance = gnorm * min(0.1, gnorm**0.1)
 
     p = np.zeros(f.shape[0])
     pp = 0.0  # ||p||^2
@@ -389,7 +388,7 @@ def gram_cg(mem: PairMemory, f: np.ndarray, delta: float) -> GramCG:
     q = 0.0  # model value g^T p + 0.5 p^T B p at the current p
     iterations = 0
     status = MAX_ITERATIONS
-    if math.sqrt(rr) <= tolerance:
+    if gnorm <= tolerance:
         status = INTERIOR  # zero gradient: p = 0 is optimal
     else:
         d = -r

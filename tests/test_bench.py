@@ -109,6 +109,53 @@ class TestRunSuite:
         assert records[0].fe == 1  # only the starting point was evaluated
         assert math.isnan(records[0].time_sec)
 
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The problem of every minimize() call run_suite makes."""
+        import trbench.bench as bench_mod
+
+        calls = []
+        real_minimize = bench_mod.minimize
+
+        def counting_minimize(problem, config):
+            calls.append(problem.name)
+            return real_minimize(problem, config)
+
+        monkeypatch.setattr(bench_mod, "minimize", counting_minimize)
+        return calls
+
+    def test_unknown_solver_raises_before_any_run(self, runs):
+        # A usage error, not a failed run: no error row with 0 evaluations.
+        with pytest.raises(ValueError, match="unknown solver 'bogus'"):
+            run_suite(["mss", "bogus"], [("srosenbr", 10)])
+        assert runs == []
+
+    def test_bad_problem_late_in_list_runs_nothing(self, runs):
+        with pytest.raises(ValueError, match="woods needs n >= 4 divisible by 4"):
+            run_suite(["mss"], [("srosenbr", 10), ("woods", 10)])
+        assert runs == []
+
+    @pytest.mark.parametrize("solvers, problems", [([], [("srosenbr", 10)]), (["mss"], [])])
+    def test_empty_grid_raises(self, solvers, problems):
+        with pytest.raises(ValueError, match="at least one solver and one problem"):
+            run_suite(solvers, problems)
+
+    def test_each_instance_built_once(self, monkeypatch, runs):
+        import trbench.bench as bench_mod
+
+        built = []
+        real_make = bench_mod.make
+
+        def counting_make(name, n):
+            built.append(name)
+            return real_make(name, n)
+
+        monkeypatch.setattr(bench_mod, "make", counting_make)
+        records = run_suite(["mss", "steihaug"], [("srosenbr", 10), ("dqdrtic", 12)])
+        assert built == ["srosenbr", "dqdrtic"]
+        assert runs == ["srosenbr", "srosenbr", "dqdrtic", "dqdrtic"]
+        assert all(r.fe >= 1 for r in records)
+
 
 class TestPerformanceProfile:
     def test_single_solver_all_solved(self):
@@ -166,6 +213,26 @@ class TestPerformanceProfile:
         ]
         curves = {c.solver: c for c in performance_profile(records, metric="time")}
         assert curves["b"].points == [(2.0, 1.0)]
+
+    def test_time_metric_zero_best(self):
+        # A run that converges at x0 spends 0 s in subproblems (dqrtic at
+        # n = 1e5): a zero time ties with the best zero and loses to it
+        # otherwise.
+        records = [
+            record(problem="p1", solver="a", time_sec=0.0),
+            record(problem="p1", solver="b", time_sec=0.0),
+            record(problem="p2", solver="a", time_sec=0.0),
+            record(problem="p2", solver="b", time_sec=0.5),
+        ]
+        curves = {c.solver: c for c in performance_profile(records, metric="time")}
+        assert curves["a"].points == [(0.0, 1.0)]
+        assert curves["b"].points == [(0.0, 0.5)]
+
+    def test_unknown_metric_raises_at_entry(self):
+        # Checked before the records, which here hold no solved problem.
+        records = [record(status="radius_too_small")]
+        with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+            performance_profile(records, metric="bogus")
 
     def test_monotone_fractions_fuzzed(self):
         rng = np.random.default_rng(42)
@@ -249,6 +316,13 @@ class TestCsvRoundTrip:
         path.write_text(header + good + "p,xx,mss,converged,0.1,5,3,1.0,1e-9\n",
                         encoding="utf-8")
         with pytest.raises(CsvFormatError, match="line 3"):
+            read_csv(path)
+
+    def test_wrong_field_count_reports_line_number(self, tmp_path):
+        path = tmp_path / "short.csv"
+        header = "problem,n,solver,status,time_sec,fe,inner_iters,f_final,gnorm_final\n"
+        path.write_text(header + "p,10,mss,converged,0.1,5,3,1.0\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="line 2: expected 9 fields, got 8"):
             read_csv(path)
 
 
@@ -339,6 +413,25 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+    def test_run_default_grid(self, tmp_path, capsys):
+        # --problems defaults to all twelve problems and --solver to both.
+        out_csv = tmp_path / "results.csv"
+        assert main(["run", "--n", "12", "--out", str(out_csv)]) == 0
+        assert "wrote 24 records" in capsys.readouterr().out
+        records = read_csv(out_csv)
+        assert len(records) == 24
+        assert {r.solver for r in records} == {"mss", "steihaug"}
+
+    def test_usage_errors_print_the_owners_message(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert main(["run", "--solver", "mss,stiehaug", "--out", out]) == 2
+        assert "unknown solver 'stiehaug'" in capsys.readouterr().err
+        assert main(["run", "--problems", "srosenbr,nosuch", "--out", out]) == 2
+        assert "unknown problem 'nosuch'" in capsys.readouterr().err
+        assert main(["run", "--problems", ",", "--out", out]) == 2
+        assert "at least one solver and one problem" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_check_command_passes(self, capsys):
         assert main(["check"]) == 0

@@ -15,6 +15,7 @@ from trbench import (
     PairMemory,
     PanelProduct,
     Subproblem,
+    apply,
     check_optimality,
     dense_reference_solve,
     frame,
@@ -23,6 +24,7 @@ from trbench import (
     mss_solve,
     newton_sigma_update,
     phi,
+    prepare,
     steihaug_solve,
     subproblem,
 )
@@ -450,3 +452,29 @@ def test_known_panel_product_is_used_and_checked(rng, solve):
     with pytest.raises(ValueError, match="stale"):
         solve(mem, Subproblem(g=sp.g, delta=sp.delta,
                               pg=PanelProduct(np.zeros(2 * mem.m), mem.version - 1, 0.0)))
+
+
+def test_boundary_step_with_negative_pd_lands_on_sphere():
+    # p^T d < 0 takes the (disc - pd) / dd branch, which no test solve reaches.
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(1000):
+        n = int(rng.integers(1, 20))
+        p, d = rng.standard_normal(n), rng.standard_normal(n)
+        if p @ d >= 0.0:
+            d = -d
+        if p @ d == 0.0:
+            continue
+        delta = np.linalg.norm(p) * (1.0 + rng.uniform(1e-3, 10.0))
+        tau = subproblem._boundary_step(float(p @ p), float(p @ d), float(d @ d), delta)
+        assert tau > 0.0
+        worst = max(worst, abs(np.linalg.norm(p + tau * d) - delta) / delta)
+    assert worst <= 1e-14
+
+
+def test_wrong_length_vector_rejected_with_its_shape(rng):
+    mem = random_memory(rng, 6, 2)
+    with pytest.raises(ValueError, match=r"g has shape \(7,\), expected \(6,\)"):
+        frame(mem, Subproblem(g=np.ones(7), delta=1.0))
+    with pytest.raises(ValueError, match=r"y has shape \(7,\), expected \(6,\)"):
+        apply(prepare(mem, 1.0), np.ones(7))
