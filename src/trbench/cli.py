@@ -1,7 +1,8 @@
-"""Command line interface: run benchmark grids, build profiles, self-check.
+"""Command line interface: run benchmark grids, build profiles, run the oracle checks.
 
 Exit codes: 0 on success, 1 when any benchmark run failed to converge or
-a self-check failed, 2 on usage errors.
+a check failed, 2 on usage errors and on files that cannot be read,
+parsed or written.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--out", required=True, help="profile CSV path")
     prof_p.add_argument("--svg", default=None, help="optional SVG plot path")
 
-    sub.add_parser("check", help="gradient and oracle self-checks")
+    sub.add_parser("check", help="the oracle checks of acceptance criteria 1-5 and 9")
     return parser
 
 
@@ -48,12 +49,8 @@ def _cmd_run(args) -> int:
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
     names = (list(PROBLEM_NAMES) if args.problems == "all"
              else [p.strip() for p in args.problems.split(",") if p.strip()])
-    try:
-        config = TrConfig(memory=args.memory, tau=args.tau)
-        records = run_suite(solvers, [(name, args.n) for name in names], config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = TrConfig(memory=args.memory, tau=args.tau)
+    records = run_suite(solvers, [(name, args.n) for name in names], config)
     write_csv(records, args.out)
     failed = 0
     for r in records:
@@ -85,11 +82,15 @@ def _cmd_check(_args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    return _cmd_check(args)
+    if args.command == "check":
+        return _cmd_check(args)
+    command = _cmd_run if args.command == "run" else _cmd_profile
+    try:
+        return command(args)
+    except (ValueError, OSError) as exc:
+        # A bad setting, a bad or missing input file, an unwritable output.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -309,7 +309,16 @@ class PairMemory:
         return AbVectors(rows=rows, weights=weights, k_h=k_h)
 
     def materialize_dense(self) -> np.ndarray:
-        """Form B = I / gamma + (C P)^T diag(w) (C P) explicitly.  Test oracle, small n only."""
-        ab = self.ab_vectors()
-        cp = ab.rows @ self.panel
-        return np.eye(self.n) / self._gamma + (cp.T * ab.weights) @ cp
+        """Form B explicitly.  Test oracle, small n only.
+
+        B is built by the dense BFGS update
+        B <- B - (B s)(B s)^T / (s^T B s) + y y^T / (y^T s) from I / gamma
+        over the stored pairs, oldest first.  It shares no coefficient with
+        the a/b rows of :meth:`ab_vectors`, so a fault in those rows shows
+        as a disagreement instead of moving the oracle with it.
+        """
+        b = np.eye(self.n) / self._gamma
+        for s, y in self.pairs:
+            bs = b @ s
+            b += np.outer(y, y) / (y @ s) - np.outer(bs, bs) / (s @ bs)
+        return b

@@ -20,6 +20,7 @@ from trbench import (
     write_csv,
     write_profile,
 )
+from trbench.bench import CSV_HEADER
 from trbench.cli import main
 
 
@@ -433,11 +434,41 @@ class TestCli:
         assert "at least one solver and one problem" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (",".join(CSV_HEADER) + "\r\n", "no records"),
+        (None, "No such file"),
+        ("a,b\r\n", "bad header"),
+    ], ids=["header-only", "missing", "bad-header"])
+    def test_profile_input_errors_exit_two(self, tmp_path, capsys, content, message):
+        path = tmp_path / "in.csv"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert main(["profile", "--in", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_unwritable_run_output_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "r.csv"
+        assert main(["run", "--problems", "srosenbr", "--n", "10", "--out", str(out)]) == 2
+        assert "No such file" in capsys.readouterr().err
+
     def test_check_command_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 6
+        assert out.count("[PASS]") == 12
         assert "[FAIL]" not in out
+
+    def test_check_command_reports_a_failing_check(self, capsys, monkeypatch):
+        import trbench.diagnostics as diagnostics
+
+        failing = diagnostics.CheckResult("planted fault", 1.0, 0.0)
+        monkeypatch.setattr(diagnostics, "gradients", lambda: [failing])
+        assert main(["check"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] planted fault" in out
+        assert out.count("[PASS]") == 11
 
 
 def test_import_loads_no_network_modules():
