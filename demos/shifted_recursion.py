@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 # Accuracy of the shifted-system recursion across shift magnitudes.
 #
-# For each sigma the same prepared state solves several right-hand sides;
-# residuals are measured through the forward product (no dense matrix
+# Each solve runs as mss runs it: gram_iterate on the frame of g = -y
+# gives the coordinates of p = (B + sigma I)^{-1} y (the compact inverse
+# at sigma = 0, the recursion's kernel otherwise) and frame_step forms p.
+# Residuals are measured through the forward product (no dense matrix
 # needed) and, at this small size, against a dense LU solve as well.
 import numpy as np
 
-from trbench import PairMemory, apply, prepare
+from trbench import PairMemory, Subproblem, frame, frame_step, gram_iterate
 
 rng = np.random.default_rng(11)
 n = 40
@@ -22,12 +24,12 @@ dense = mem.materialize_dense()
 print(f"memory: n={n}, m={mem.m}, gamma={mem.gamma:.4f}")
 print(f"{'sigma':>10} {'forward residual':>18} {'vs dense LU':>14}")
 for sigma in (0.0, 1e-6, 1e-3, 1e-1, 1.0, 1e2, 1e4, 1e6):
-    state = prepare(mem, sigma)  # O(M^3) once per shift
     worst_fwd = 0.0
     worst_lu = 0.0
     for _ in range(5):
         y = rng.standard_normal(n)
-        x = apply(state, y)  # O(M n) per right-hand side
+        f = frame(mem, Subproblem(g=-y, delta=1.0))  # one O(M n) pass
+        x = frame_step(mem, -y, gram_iterate(mem, f, sigma).x)  # O(M^3), then O(M n)
         worst_fwd = max(
             worst_fwd,
             np.linalg.norm(mem.multiply(x) + sigma * x - y) / np.linalg.norm(y),

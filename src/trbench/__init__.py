@@ -34,7 +34,7 @@ from .errors import (
 )
 from .memory import EPS, SQRT_EPS, AbVectors, PairMemory, PanelProduct
 from .problems import PROBLEM_NAMES, ProblemInstance, fd_gradient_check, make
-from .shifted import ShiftedRecursionState, apply, prepare, solve_shifted
+from .shifted import ShiftedRecursionState, apply, prepare
 from .subproblem import (
     BOUNDARY,
     BREAKDOWN,
@@ -109,7 +109,6 @@ __all__ = [
     "render_profile_svg",
     "rho",
     "run_suite",
-    "solve_shifted",
     "steihaug_solve",
     "write_csv",
     "write_profile",

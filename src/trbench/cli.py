@@ -8,6 +8,7 @@ parsed or written.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import METRICS, performance_profile, read_csv, run_suite, write_csv, write_profile
@@ -50,6 +51,11 @@ def _cmd_run(args) -> int:
     names = (list(PROBLEM_NAMES) if args.problems == "all"
              else [p.strip() for p in args.problems.split(",") if p.strip()])
     config = TrConfig(memory=args.memory, tau=args.tau)
+    # An output that cannot be opened for writing fails here, before the grid runs.
+    existed = os.path.exists(args.out)
+    open(args.out, "a").close()
+    if not existed:
+        os.remove(args.out)
     records = run_suite(solvers, [(name, args.n) for name in names], config)
     write_csv(records, args.out)
     failed = 0

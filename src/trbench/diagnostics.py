@@ -23,9 +23,8 @@ import numpy as np
 
 from .memory import SQRT_EPS, PairMemory
 from .problems import PROBLEM_NAMES, fd_gradient_check, make
-from .shifted import solve_shifted
 from .subproblem import (BOUNDARY, INTERIOR, Subproblem, check_optimality, dense_reference_solve,
-                         frame, gram_iterate, mss_solve, newton_sigma_update, steihaug_solve)
+                         frame, frame_step, gram_iterate, mss_solve, newton_sigma_update, steihaug_solve)
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def shifted_solves() -> list[CheckResult]:
-    """Criterion 1: the shifted recursion against dense LU on 200 instances."""
+    """Criterion 1: (B + sigma I)^{-1} y on mss's Gram path (g = -y) against dense LU, 200 instances."""
     rng = np.random.default_rng(101)
     sigmas = (0.0, 1e-4, 1.0, 1e2, 1e4)
     errors = []
@@ -87,7 +86,8 @@ def shifted_solves() -> list[CheckResult]:
         sigma = sigmas[i % len(sigmas)]
         y = rng.standard_normal(n)
         want = np.linalg.solve(mem.materialize_dense() + sigma * np.eye(n), y)
-        errors.append(_rel_err(solve_shifted(mem, sigma, y), want))
+        x = gram_iterate(mem, frame(mem, Subproblem(g=-y, delta=1.0)), sigma).x
+        errors.append(_rel_err(frame_step(mem, -y, x), want))
     return [_worst("criterion 1: shifted solves vs dense LU", errors, 1e-8)]
 
 
@@ -173,7 +173,10 @@ def product_round_trip() -> list[CheckResult]:
 
 
 def steihaug_decrease() -> list[CheckResult]:
-    """Criterion 5: steihaug's Cauchy decrease, and the residual rule on interior exits, 100 instances."""
+    """Criterion 5: steihaug's Cauchy decrease, and the residual rule on interior exits, 100 instances.
+
+    g^T B g and ||B p + g|| are read from the dense B, not from the a/b rows steihaug reads.
+    """
     rng = np.random.default_rng(505)
     short_of_cauchy = 0
     residual_misses = 0
@@ -185,12 +188,13 @@ def steihaug_decrease() -> list[CheckResult]:
         delta = float(rng.uniform(0.05, 5.0))
         result = steihaug_solve(mem, Subproblem(g=g, delta=delta))
         gnorm = float(np.linalg.norm(g))
-        curvature = float(g @ mem.multiply(g))
+        dense = mem.materialize_dense()
+        curvature = float(g @ dense @ g)
         t = min(gnorm**2 / curvature, delta / gnorm)
         cauchy = t * gnorm**2 - 0.5 * t**2 * curvature
         short_of_cauchy += not result.model_reduction >= cauchy * (1.0 - 1e-10) - 1e-12
         if result.status == INTERIOR:
-            residual = float(np.linalg.norm(mem.multiply(result.p) + g))
+            residual = float(np.linalg.norm(dense @ result.p + g))
             residual_misses += not residual <= gnorm * min(0.1, gnorm**0.1) * (1.0 + 1e-9)
     return [
         CheckResult("criterion 5: steihaug results short of the Cauchy decrease",

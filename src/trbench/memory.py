@@ -15,13 +15,13 @@ coefficient row over P (a row of C, with weight w = +1 for b_i and -1
 for a_i), so both products take the compact form of Byrd, Nocedal &
 Schnabel (1994):
 
-    B v      = gamma^{-1} v + P^T C^T diag(w) C (P v)   (:func:`panel_apply`),
+    B v      = gamma^{-1} v + P^T C^T diag(w) C (P v),
     B^{-1} v = gamma v      + P^T K_H (P v).
 
 One coefficient kernel, :func:`fold` (sum_k w_k (r_k . v) r_k over
 coefficient rows r_k), serves every sum of rank-one terms in the
 package: the build of C itself, ``B v``, the shifted recursion's r_k and
-solves, and both solvers' Gram-space iterations.
+its kernel products, and both solvers' Gram-space iterations.
 
 Costs: two O(M n) matrix-vector passes, P s and P y over the updated
 panel, to refresh G per accepted pair; O(M^3) to build C and K_H (no
@@ -61,14 +61,6 @@ def fold(rows, weights, v) -> np.ndarray:
     carry it once.  Empty rows give zeros.
     """
     return (weights * (rows @ v)) @ rows
-
-
-def panel_apply(panel, base, rows, weights, y) -> np.ndarray:
-    """Return base * y + P^T fold(rows, weights, P y) for the panel P.
-
-    The n-space form of ``B v`` and of every prepared shifted solve.
-    """
-    return base * y + panel.T @ fold(rows, weights, panel @ y)
 
 
 @dataclass(frozen=True)
@@ -265,7 +257,7 @@ class PairMemory:
         v = self._check_dim(v, "v")
         ab = self.ab_vectors()
         panel = self._panel[: 2 * self._m]
-        return panel_apply(panel, 1.0 / self._gamma, ab.rows, ab.weights, v)
+        return (1.0 / self._gamma) * v + panel.T @ fold(ab.rows, ab.weights, panel @ v)
 
     def ab_vectors(self) -> AbVectors:
         """Return the cached factors, rebuilding after any mutation.

@@ -1,4 +1,4 @@
-"""Matrix-free solves with (B + sigma I) for an L-BFGS matrix B.
+"""The shifted recursion: the Gram-space kernel of (B + sigma I)^{-1} for an L-BFGS B.
 
 Writing B + sigma I = C0 + sum_k E_k with C0 = (gamma^{-1} + sigma) I and
 the rank-one terms E_{2i} = +b_i b_i^T, E_{2i+1} = -a_i a_i^T, the inverse
@@ -26,23 +26,24 @@ lower edge of the curvature gate, small shifts were measured 5e4 times
 further off than a rounding bound proportional to cond(B + sigma I).
 
 Every c_k, and hence every r_k, lies in the span of the memory's panel P,
-so the recursion runs on coefficient rows over P with each inner product
-read from the Gram matrix G = P P^T.  ``prepare`` forms each r_k, and
-each solve applies the r_k, through the memory's one coefficient kernel
-:func:`~trbench.memory.fold` with weights (-1)^{k+1} v_k.  Preparing a shift costs O(M^3) with no n-length work;
-each solve is base * y + P^T fold(r, weights, P y)
-(:func:`~trbench.memory.panel_apply`), O(M n).
+so (B + sigma I)^{-1} = base I + P^T K P with base = (gamma^{-1} + sigma)^{-1}
+and K = R^T diag(w) R over the r_k's coefficient rows R and weights
+w_k = (-1)^{k+1} v_k.  ``prepare`` forms R and w in O(M^3), reading every
+inner product from the Gram matrix G = P P^T, with no n-length work;
+:func:`apply` is the product K v, O(M^2), through the memory's one
+coefficient kernel :func:`~trbench.memory.fold`.  Its one consumer is
+mss's Gram-space Newton iterate (:func:`~trbench.subproblem.gram_iterate`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalBreakdownError
-from .memory import EPS, PairMemory, fold, panel_apply
+from .memory import EPS, PairMemory, fold
 
 # Denominators 1 + (-1)^k r_k^T c_k below this magnitude are treated as
 # breakdown rather than propagated as huge v_k.
@@ -51,20 +52,17 @@ DENOM_GUARD = 1e3 * EPS
 
 @dataclass(frozen=True)
 class ShiftedRecursionState:
-    """Precomputed r_k / v_k data for one (memory, sigma) combination.
+    """The factors of (B + sigma I)^{-1} = base I + P^T K P for one (memory, sigma).
 
     ``r_coef`` holds the coefficients of each r_k over the memory's panel
-    (r_k = r_coef[k] @ mem.panel) and ``weights`` the (-1)^{k+1} v_k.
-    Building the state costs O(M^3); each solve against it costs O(M n),
-    so repeated right-hand sides at the same shift are cheap.  ``mem`` is
-    the memory the state solves against, ``mem_version`` its version then.
+    (r_k = r_coef[k] @ mem.panel) and ``weights`` the (-1)^{k+1} v_k, so
+    K = r_coef^T diag(weights) r_coef.  Building the state costs O(M^3);
+    each kernel product against it (:func:`apply`) costs O(M^2).
     """
 
     base: float  # (gamma^{-1} + sigma)^{-1}
     r_coef: np.ndarray  # (2m, 2m)
     weights: np.ndarray  # (2m,), (-1)^{k+1} v_k
-    mem: PairMemory = field(repr=False)
-    mem_version: int
 
 
 def prepare(mem: PairMemory, sigma: float) -> ShiftedRecursionState:
@@ -94,23 +92,13 @@ def prepare(mem: PairMemory, sigma: float) -> ShiftedRecursionState:
             )
         r[k] = rk
         weights[k] = -ab.weights[k] / denom
-    return ShiftedRecursionState(
-        base=base, r_coef=r, weights=weights, mem=mem, mem_version=mem.version,
-    )
+    return ShiftedRecursionState(base=base, r_coef=r, weights=weights)
 
 
-def apply(state: ShiftedRecursionState, y) -> np.ndarray:
-    """Return x with (B + sigma I) x = y for the state's memory and sigma.
+def apply(state: ShiftedRecursionState, v: np.ndarray) -> np.ndarray:
+    """Return K v for the kernel K of (B + sigma I)^{-1} = base I + P^T K P.
 
-    A state from before an update of its memory is rejected.
+    v has length 2m, a vector of panel coordinates such as P y, so the
+    solve (B + sigma I)^{-1} y is base y + P^T apply(state, P y).
     """
-    mem = state.mem
-    if state.mem_version != mem.version:
-        raise ValueError("state is stale: memory changed after prepare()")
-    y = mem._check_dim(y, "y")
-    return panel_apply(mem.panel, state.base, state.r_coef, state.weights, y)
-
-
-def solve_shifted(mem: PairMemory, sigma: float, y) -> np.ndarray:
-    """One-shot convenience: prepare at sigma and solve a single system."""
-    return apply(prepare(mem, sigma), y)
+    return fold(state.r_coef, state.weights, v)

@@ -36,8 +36,7 @@ import numpy as np
 
 from .errors import DegenerateDerivativeError, NumericalBreakdownError
 from .memory import EPS, SQRT_EPS, PairMemory, PanelProduct, fold
-# No solver calls shifted_apply; perfbench's tracer patches it here by name.
-from .shifted import apply as shifted_apply  # noqa: F401
+from .shifted import apply as shifted_apply
 from .shifted import prepare as shifted_prepare
 
 INTERIOR = "interior"
@@ -224,9 +223,9 @@ def gram_iterate(mem: PairMemory, f: np.ndarray, sigma: float) -> GramIterate:
 
     (B + sigma I)^{-1} = base I + P^T K P: at sigma = 0, base = gamma and
     K is the compact inverse's K_H; at sigma > 0 both come from
-    ``shifted_prepare(mem, sigma)``, K = R^T diag(w) R applied through its
-    factors by ``fold``.  With u = P g, p has the coordinates
-    x = -[base; K u], so
+    ``shifted_prepare(mem, sigma)``, and ``shifted_apply`` applies K
+    through its factors, twice per call.  With u = P g, p has the
+    coordinates x = -[base; K u], so
 
         ||p||^2 = x^T F x,  q = P p = (F x)[1:],
         p^T (B + sigma I)^{-1} p = base ||p||^2 + q^T K q,
@@ -240,7 +239,7 @@ def gram_iterate(mem: PairMemory, f: np.ndarray, sigma: float) -> GramIterate:
     else:
         state = shifted_prepare(mem, sigma)
         base = state.base
-        kernel = functools.partial(fold, state.r_coef, state.weights)
+        kernel = functools.partial(shifted_apply, state)
     x = -np.concatenate(([base], kernel(f[0, 1:])))
     fx = f @ x
     pp = max(float(x @ fx), 0.0)
@@ -508,17 +507,14 @@ def dense_reference_solve(b_dense, g, delta: float) -> tuple[np.ndarray, float]:
 
 
 def check_optimality(
-    mem: PairMemory,
-    result: SubproblemResult,
-    sp: Subproblem,
-    tol: float,
-    tau_ms: float = SQRT_EPS,
+    mem: PairMemory, result: SubproblemResult, sp: Subproblem, tol: float
 ) -> OptimalityReport:
     """Certify a result against the global-optimality conditions.
 
     Measures the stationarity residual ||B p + sigma p + g|| / ||g||, the
     complementarity |sigma * (delta - ||p||)| and the feasibility excess
-    ||p|| - delta (1 + tau_ms).  Passing requires residual <= tol,
+    ||p|| - delta (1 + sqrt(eps)), sqrt(eps) being mss's default boundary
+    tolerance tau_ms.  Passing requires residual <= tol,
     complementarity <= tol * max(1, sigma*delta) and no feasibility excess.
     """
     p = result.p
@@ -530,7 +526,7 @@ def check_optimality(
     residual = float(np.linalg.norm(mem.multiply(p) + sigma * p + g))
     residual /= gnorm if gnorm > 0.0 else 1.0
     complementarity = abs(sigma * (delta - p_norm))
-    feasibility = p_norm - delta * (1.0 + tau_ms)
+    feasibility = p_norm - delta * (1.0 + SQRT_EPS)
     return OptimalityReport(
         residual=residual,
         complementarity=complementarity,

@@ -449,7 +449,13 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
-    def test_unwritable_run_output_exits_two(self, tmp_path, capsys):
+    def test_unwritable_run_output_exits_two(self, tmp_path, capsys, monkeypatch):
+        import trbench.cli as cli_mod
+
+        def no_grid(*_args):
+            pytest.fail("the grid ran before the output was found unwritable")
+
+        monkeypatch.setattr(cli_mod, "run_suite", no_grid)
         out = tmp_path / "nodir" / "r.csv"
         assert main(["run", "--problems", "srosenbr", "--n", "10", "--out", str(out)]) == 2
         assert "No such file" in capsys.readouterr().err

@@ -3,11 +3,12 @@
 Every memory here is built by offering pairs one at a time, and the
 oracle is the recursive dense BFGS update over the pairs the memory
 reports, so the checks cover ring wrap-around and gate rejections as well
-as the algebra.  The Gram-space Newton iterates of mss are checked
-against the n-space solves they replace, steihaug's Gram-space CG
+as the algebra.  Shifted solves run on the Gram path mss runs
+(``shifted_solve`` in ``conftest.py``).  The Gram-space Newton iterates
+of mss are checked against their n-space norms, steihaug's Gram-space CG
 against a plain n-space CG and the dense model, the driver against
-non-finite evaluations and the CSV schema against awkward records.  Examples are
-derandomized so the suite is repeatable.
+non-finite evaluations and the CSV schema against awkward records.
+Examples are derandomized so the suite is repeatable.
 """
 
 import math
@@ -33,7 +34,6 @@ from trbench import (
     RunRecord,
     Subproblem,
     TrConfig,
-    apply,
     check_optimality,
     frame,
     gram_cg,
@@ -41,9 +41,7 @@ from trbench import (
     make,
     minimize,
     mss_solve,
-    prepare,
     read_csv,
-    solve_shifted,
     steihaug_solve,
     subproblem,
     write_csv,
@@ -53,10 +51,13 @@ from trbench.bench import ERROR
 from trbench.driver import SOLVERS
 from trbench.memory import CARRY_BOUND
 
+from conftest import dense_bfgs, shifted_solve
+
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 # B is a sum of terms (B0 and the rank-one updates) that may cancel, and
-# the kernels round at the size of the largest term, ``scale`` below; the
+# the kernels round at the size of the largest term, the ``scale`` that
+# ``dense_bfgs`` (``conftest.py``) returns; the
 # term a_i a_i^T = B_i s_i s_i^T B_i / (s_i^T B_i s_i) is formed from B_i s_i,
 # whose rounding error ||B_i|| ||s_i|| eps is amplified by
 # ||B_i s_i|| / (s_i^T B_i s_i).  Forward products are therefore compared
@@ -73,27 +74,6 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 TOL = 1e-12
 
 seeds = st.integers(0, 2**32 - 1)
-
-
-def dense_bfgs(pairs, gamma, n):
-    """Dense recursive BFGS update starting from gamma^{-1} I.
-
-    Runs in extended precision where the platform has it, so the oracle's
-    own rounding stays below the kernels'.  Returns B and the rounding
-    scale of the recursion (see above).
-    """
-    b = np.eye(n, dtype=np.longdouble) / np.longdouble(gamma)
-    scale = 1.0 / gamma
-    for s, y in pairs:
-        s = s.astype(np.longdouble)
-        y = y.astype(np.longdouble)
-        bs = b @ s
-        yy = np.outer(y, y) / (y @ s)
-        a_term = np.linalg.norm(b.astype(float), 2) * float(
-            np.linalg.norm(s) * np.linalg.norm(bs) / (s @ bs))
-        scale = max(scale, a_term, np.linalg.norm(yy.astype(float), 2))
-        b = b - np.outer(bs, bs) / (s @ bs) + yy
-    return b, scale
 
 
 def spd_matrix(rng, n, lo=1e-2, hi=1e2):
@@ -131,7 +111,7 @@ def assert_products_match(mem, rng, sigmas=(), tol=TOL):
         shifted = dense + sigma * np.eye(n)
         want = np.linalg.solve(shifted, v)
         kappa = np.linalg.norm(np.linalg.inv(shifted), 2) * (scale + sigma)
-        got = solve_shifted(mem, sigma, v)
+        got = shifted_solve(mem, sigma, v)
         assert np.linalg.norm(got - want) <= tol * kappa * np.linalg.norm(want)
 
 
@@ -371,9 +351,10 @@ def family_memory(rng, n, family):
 )
 def test_gram_iterate_matches_n_space(seed, n, family, sigma):
     # ||p|| and p^T (B + sigma I)^{-1} p read from the Gram matrix must
-    # equal the values of the n-space solves they replace in mss: the
-    # compact inverse at sigma = 0, the shifted recursion otherwise.  Both
-    # sides use the same kernels, so only the order of operations differs,
+    # equal their values in n-space: from the compact inverse's products
+    # at sigma = 0, and otherwise from the p that frame_step forms and a
+    # second Gram solve against that p.  Both sides use the same kernels,
+    # so only the order of operations differs,
     # except that p = x[0] g + P^T x[1:] may cancel: by a factor kappa in
     # n-space, and by kappa^2 once the sum is squared out in Gram space.
     # kappa stays under 4 on every family but the gate edge with n <= 2m,
@@ -390,8 +371,8 @@ def test_gram_iterate_matches_n_space(seed, n, family, sigma):
         p = -mem.inv_multiply(g)
         curvature = float(p @ mem.inv_multiply(p))
     else:
-        p = -solve_shifted(mem, sigma, g)
-        curvature = float(p @ solve_shifted(mem, sigma, p))
+        p = -shifted_solve(mem, sigma, g)
+        curvature = float(p @ shifted_solve(mem, sigma, p))
     p_norm = float(np.linalg.norm(p))
     kappa = (abs(it.x[0]) * np.linalg.norm(g) + np.linalg.norm(mem.panel.T @ it.x[1:])) / p_norm
     tol = 1e-12 * kappa**2
@@ -418,7 +399,7 @@ def test_mss_boundary_step_is_the_recursion_solve(seed, n, family, shrink):
     except NumericalBreakdownError:
         return
     if result.status == BOUNDARY:
-        want = apply(prepare(mem, result.sigma), -g)
+        want = shifted_solve(mem, result.sigma, -g)
         assert np.linalg.norm(result.p - want) <= 1e-12 * np.linalg.norm(want)
 
 

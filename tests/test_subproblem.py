@@ -15,7 +15,6 @@ from trbench import (
     PairMemory,
     PanelProduct,
     Subproblem,
-    apply,
     check_optimality,
     dense_reference_solve,
     frame,
@@ -24,7 +23,6 @@ from trbench import (
     mss_solve,
     newton_sigma_update,
     phi,
-    prepare,
     steihaug_solve,
     subproblem,
 )
@@ -476,5 +474,3 @@ def test_wrong_length_vector_rejected_with_its_shape(rng):
     mem = random_memory(rng, 6, 2)
     with pytest.raises(ValueError, match=r"g has shape \(7,\), expected \(6,\)"):
         frame(mem, Subproblem(g=np.ones(7), delta=1.0))
-    with pytest.raises(ValueError, match=r"y has shape \(7,\), expected \(6,\)"):
-        apply(prepare(mem, 1.0), np.ones(7))
