@@ -105,6 +105,19 @@ def rho(f_x: float, f_trial: float, predicted: float) -> float:
     return (f_x - f_trial) / predicted
 
 
+def _evaluate(problem: ProblemInstance, x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """f, g and g'g at x, for the start and every trial of :func:`minimize`.
+
+    A point is usable only when f and g'g are both finite: a gradient with
+    a NaN or inf entry, or whose g'g overflows, could not be a solver's g.
+    """
+    f, g = problem.eval(x)
+    g = np.asarray(g, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gg = float(g @ g)
+    return float(f), g, gg
+
+
 def minimize(
     problem: ProblemInstance,
     config: TrConfig | None = None,
@@ -117,6 +130,7 @@ def minimize(
     evaluation count exceeds max(MAX_FE, n).  ``callback``, if given, receives
     a dict per iteration (iteration, x, f, gnorm, delta, rho, accepted,
     pair_stored, memory_size) after the bookkeeping for that iteration.
+    Raises ValueError after one evaluation if f or g'g is not finite at x0.
     """
     if config is None:
         config = TrConfig()
@@ -124,11 +138,11 @@ def minimize(
     max_fe = max(MAX_FE, n)
 
     x = np.asarray(problem.x0, dtype=float).copy()
-    f, g = problem.eval(x)
-    f = float(f)
-    g = np.asarray(g, dtype=float)
+    f, g, gg = _evaluate(problem, x)
     fe_count = 1
-    gnorm = float(np.linalg.norm(g))
+    if not (math.isfinite(f) and math.isfinite(gg)):
+        raise ValueError(f"f and g'g must be finite at x0, got f = {f}, g'g = {gg}")
+    gnorm = math.sqrt(gg)
     threshold = max(config.tau * abs(f), config.tau * gnorm, 1e-5)
 
     mem = PairMemory(n, config.memory)
@@ -158,48 +172,32 @@ def minimize(
         result = solve(mem, Subproblem(g=g, delta=delta, pg=pg))
         subproblem_time += time.perf_counter() - t0
         inner_total += result.inner_iterations
-        p = result.p
         pg = result.pg
 
-        x_trial = x + p
-        f_trial, g_trial = problem.eval(x_trial)
-        f_trial = float(f_trial)
-        g_trial = np.asarray(g_trial, dtype=float)
+        x_trial = x + result.p
+        f_trial, g_trial, gg_trial = _evaluate(problem, x_trial)
         fe_count += 1
-
-        # A trial gradient with a NaN or inf entry, or whose g'g overflows,
-        # is not finite; the solvers could not take it as their next g.
-        with np.errstate(over="ignore", invalid="ignore"):
-            gg_trial = float(g_trial @ g_trial)
         trial_finite = math.isfinite(f_trial) and math.isfinite(gg_trial)
-        if trial_finite:
-            ratio = rho(f, f_trial, result.model_reduction)
-        else:
-            ratio = -math.inf  # reject and shrink on non-finite trials
+        # A non-finite trial is rejected, and the radius shrinks.
+        ratio = rho(f, f_trial, result.model_reduction) if trial_finite else -math.inf
         accepted = ratio >= ETA1
-
-        if ratio >= ETA2:
-            delta = min(GAMMA1 * result.p_norm, DELTA_HAT)
-        elif accepted:
-            delta = result.p_norm
-        else:
-            delta = GAMMA2 * delta
 
         # A finite trial's pair is offered whether or not the step is
         # accepted: only the curvature gate decides storage.  A non-finite
         # trial measures no curvature, so its pair is never offered.
         y = g_trial - g if trial_finite else None
-        pair_stored = trial_finite and mem.try_update(p, y)
+        pair_stored = trial_finite and mem.try_update(result.p, y)
 
-        # pg stays valid only while g and the memory both stay put, or is
-        # carried to P g_trial across an accepted step that stored a pair
-        # while its rounding bound allows.
+        # pg stays valid while g and the memory stay put, or is carried to
+        # P g_trial over an accepted step that stored a pair, bound allowing.
         if accepted:
+            delta = min(GAMMA1 * result.p_norm, DELTA_HAT) if ratio >= ETA2 else result.p_norm
             gnorm_trial = math.sqrt(gg_trial)
             pg = mem.carry(pg, g, gnorm_trial) if pair_stored else None
             x, f, g, gnorm = x_trial, f_trial, g_trial, gnorm_trial
             accepted_steps += 1
         else:
+            delta = GAMMA2 * delta
             if pair_stored:
                 pg = None
             rejected_steps += 1

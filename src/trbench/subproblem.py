@@ -270,7 +270,7 @@ def mss_solve(
     Returns a result with status "interior", "boundary", "max_iterations"
     (MSS_MAX_ITERATIONS = 100 Newton steps taken, whatever n is; the last
     iterate returned) or "breakdown" (recursion failure or a negative
-    Newton step, both pathological for SPD B).
+    Newton step, both pathological for SPD B, or an ||p|| that underflows).
     """
     if opts is None:
         opts = MssOptions()
@@ -290,11 +290,12 @@ def mss_solve(
 
     while True:
         # A Gram-space norm that cancelled to zero cannot drive Newton;
-        # the n-space norm replaces it as it does at an exit.
+        # the n-space norm replaces it as it does at an exit, and one that
+        # underflows to zero (||p||^2 under the least subnormal) is a breakdown.
         if settled(p_norm) is not None or not p_norm > 0.0:
             p = frame_step(mem, g, it.x)
             p_norm = float(np.linalg.norm(p))
-            status = settled(p_norm)
+            status = settled(p_norm) or (None if p_norm > 0.0 else BREAKDOWN)
             if status is not None:
                 break
         if iterations >= MSS_MAX_ITERATIONS:

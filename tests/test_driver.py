@@ -103,6 +103,33 @@ class TestMinimize:
         assert result.fe_count == 1
         assert result.accepted_steps == 0
 
+    @pytest.mark.parametrize("solver", driver.SOLVERS)
+    @pytest.mark.parametrize("fault", ["f=inf", "f=nan", "g[3]=inf"])
+    def test_nonfinite_start_raises_after_one_evaluation(self, solver, fault):
+        # The start is judged by the rule every trial is: a non-finite f,
+        # or a g whose g'g is not finite, raises ValueError naming both
+        # values before any solve, after the one evaluation at x0.
+        problem = make("srosenbr", 10)
+        calls = 0
+
+        def evaluate(x):
+            nonlocal calls
+            calls += 1
+            f, g = problem.eval(x)
+            if fault == "f=inf":
+                f = math.inf
+            elif fault == "f=nan":
+                f = math.nan
+            else:
+                g = np.array(g, dtype=float)
+                g[3] = math.inf
+            return f, g
+
+        faulty = ProblemInstance(name="bad_start", n=10, eval=evaluate, x0=problem.x0)
+        with pytest.raises(ValueError, match=r"x0, got f = .*, g'g = "):
+            minimize(faulty, TrConfig(solver=solver))
+        assert calls == 1
+
     def test_quadratic_converges_quickly(self):
         result = minimize(quadratic_problem(10.0 * np.eye(6)[0]))
         assert result.status == CONVERGED

@@ -247,9 +247,11 @@ def test_near_collinear_pairs_raise_or_match(seed, n, log_eps, consistent, sigma
     entry=st.integers(0, 19),
 )
 def test_nonfinite_evaluations_never_raise(name, solver, period, in_f, bad, entry):
-    # Every period-th trial evaluation (never the one at x0) reports a
-    # non-finite f or gradient entry.  The driver must reject those trials
-    # and end with one of its own statuses at a finite iterate.
+    # Every period-th trial evaluation reports a non-finite f or gradient
+    # entry (never the one at x0, which raises: see test_driver.py's
+    # test_nonfinite_start_raises_after_one_evaluation).  The driver must
+    # reject those trials and end with one of its own statuses at a finite
+    # iterate.
     problem = make(name, 20)
     calls = 0
 
