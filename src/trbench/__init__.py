@@ -40,7 +40,6 @@ from .subproblem import (
     BREAKDOWN,
     INTERIOR,
     MAX_ITERATIONS,
-    GramCG,
     GramIterate,
     MssOptions,
     OptimalityReport,
@@ -50,7 +49,6 @@ from .subproblem import (
     dense_reference_solve,
     frame,
     frame_step,
-    gram_cg,
     gram_iterate,
     mss_solve,
     newton_sigma_update,
@@ -69,7 +67,6 @@ __all__ = [
     "DegenerateDerivativeError",
     "EPS",
     "FE_BUDGET_EXHAUSTED",
-    "GramCG",
     "GramIterate",
     "INTERIOR",
     "MAX_ITERATIONS",
@@ -96,7 +93,6 @@ __all__ = [
     "fd_gradient_check",
     "frame",
     "frame_step",
-    "gram_cg",
     "gram_iterate",
     "make",
     "minimize",

@@ -102,8 +102,9 @@ class PairMemory:
     gate sqrt(eps) < s^T y < 1/sqrt(eps); accepted pairs overwrite the
     oldest slot once ``capacity`` is reached.  gamma is refreshed from the
     newest pair as s^T y / ||y||^2 and thresholded from below by
-    sqrt(eps), which bounds ||B0|| by 1/sqrt(eps).  Before any
-    update B is the identity (gamma = 1).
+    sqrt(eps), which bounds ||B0|| by 1/sqrt(eps).  Nothing bounds gamma
+    from above: s = 1e10 e_0, y = 1e-17 e_0 passes the gate and sets
+    gamma = 1e27.  Before any update B is the identity (gamma = 1).
 
     Slot j occupies panel rows 2j (s) and 2j + 1 (y).  Slots fill in
     order and then wrap, so the stored pairs always occupy the leading

@@ -18,8 +18,8 @@ from u = P g, the one O(M n) pass of a solve, which a caller that
 already knows u (the trust-region driver, see :meth:`PairMemory.carry`)
 passes in as ``Subproblem.pg``; every inner product is then x^T F y.
 A Newton iteration (:func:`gram_iterate`) costs one O(M^3) recursion
-``prepare`` plus O(M^2) work, a CG iteration (:func:`gram_cg`) O(M^2)
-with no product with B, and neither does n-length work.
+``prepare`` plus O(M^2) work, a CG iteration (:func:`steihaug_solve`)
+O(M^2) with no product with B, and neither does n-length work.
 :func:`frame_step` forms p once, at exit, with one pass P^T x.
 
 :func:`dense_reference_solve` (eigendecomposition plus bisection) and
@@ -349,31 +349,30 @@ def _boundary_step(pp: float, pd: float, dd: float, delta: float) -> float:
     return (disc - pd) / dd if dd > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class GramCG:
-    """A truncated CG run held in frame coordinates: p = x[0] g + P^T x[1:].
+def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
+    """Truncated conjugate gradients on B p = -g inside the region.
 
-    ``model_value`` is g^T p + 0.5 p^T B p at that p, carried along the
-    CG recurrences.
-    """
+    CG starts from p = 0 and stops at the first of: residual small enough
+    (||r|| <= ||g|| * min(0.1, ||g||^0.1)), an iterate crossing the
+    boundary (step truncated to the sphere), non-positive or NaN
+    curvature (cannot occur for SPD B, guarded anyway), or the iteration
+    cap min(n, 100) (STEIHAUG_MAX_ITERATIONS = 100).
 
-    x: np.ndarray
-    status: str
-    iterations: int
-    model_value: float
-
-
-def gram_cg(mem: PairMemory, f: np.ndarray, delta: float) -> GramCG:
-    """Steihaug-Toint CG on B p = -g in Gram space, given the frame's Gram matrix f.
-
-    Every CG vector lies in span{g} + range(P^T), so CG runs on frame
-    coordinates x of v = x[0] g + P^T x[1:], of length 2m + 1:
-    v^T w = x^T F y, and B v has the coordinates
+    CG runs on frame coordinates x of v = x[0] g + P^T x[1:], of length
+    2m + 1: v^T w = x^T F y, and B v has the coordinates
     c x + [0; fold(C, w, (F x)[1:])] for the memory's coefficient rows C,
-    weights w and c = 1/gamma: O(M^2) per iteration and no n-length work.
-    Squared norms read from F are clamped at 0, as in
-    :func:`gram_iterate`.  Stops as described in :func:`steihaug_solve`.
+    weights w and c = 1/gamma.  A solve makes one O(M n) pass u = P g
+    (none when ``sp.pg`` gives u), O(M^2) work per CG iteration with no
+    n-length work, and one pass P^T x at exit to form p.  Squared norms
+    read from F are clamped at 0, as in :func:`gram_iterate`.  No product
+    with B is made: the model value g^T p + 0.5 p^T B p is advanced along
+    each step t d from r^T d and the curvature d^T B d already at hand.
+
+    The multiplier is always reported as 0; a boundary exit carries
+    status "boundary" without polishing the boundary equation, and
+    "breakdown" when its n-space ||p|| underflows to zero.
     """
+    f = frame(mem, sp)
     ab = mem.ab_vectors()
     c = 1.0 / mem.gamma
     max_iterations = min(mem.n, STEIHAUG_MAX_ITERATIONS)
@@ -381,7 +380,7 @@ def gram_cg(mem: PairMemory, f: np.ndarray, delta: float) -> GramCG:
     gnorm = math.sqrt(rr)
     tolerance = gnorm * min(0.1, gnorm**0.1)
 
-    p = np.zeros(f.shape[0])
+    x = np.zeros(f.shape[0])  # the coordinates of p
     pp = 0.0  # ||p||^2
     r = np.zeros(f.shape[0])  # the residual g + B p
     r[0] = 1.0
@@ -399,21 +398,21 @@ def gram_cg(mem: PairMemory, f: np.ndarray, delta: float) -> GramCG:
             iterations += 1
             curvature = float(fd @ bd)
             rd = float(fd @ r)
-            pd = float(fd @ p)
+            pd = float(fd @ x)
             dd = max(float(fd @ d), 0.0)
             if curvature > 0.0:
                 alpha = rr / curvature
                 pp_trial = max(pp + alpha * (2.0 * pd + alpha * dd), 0.0)
-            if not curvature > 0.0 or math.sqrt(pp_trial) > delta:
+            if not curvature > 0.0 or math.sqrt(pp_trial) > sp.delta:
                 # Non-positive or NaN curvature, or a step out of the
                 # region: stop on the sphere.
-                t = _boundary_step(pp, pd, dd, delta)
+                t = _boundary_step(pp, pd, dd, sp.delta)
                 q += t * rd + 0.5 * t**2 * curvature
-                p = p + t * d
+                x = x + t * d
                 status = BOUNDARY
                 break
             q += alpha * rd + 0.5 * alpha**2 * curvature
-            p = p + alpha * d
+            x = x + alpha * d
             pp = pp_trial
             r = r + alpha * bd
             rr_new = max(float(r @ (f @ r)), 0.0)
@@ -422,38 +421,18 @@ def gram_cg(mem: PairMemory, f: np.ndarray, delta: float) -> GramCG:
                 break
             d = -r + (rr_new / rr) * d
             rr = rr_new
-    return GramCG(x=p, status=status, iterations=iterations, model_value=q)
 
-
-def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
-    """Truncated conjugate gradients on B p = -g inside the region.
-
-    CG starts from p = 0 and stops at the first of: residual small enough
-    (||r|| <= ||g|| * min(0.1, ||g||^0.1)), an iterate crossing the
-    boundary (step truncated to the sphere), non-positive or NaN
-    curvature (cannot occur for SPD B, guarded anyway), or the iteration
-    cap min(n, 100) (STEIHAUG_MAX_ITERATIONS = 100).
-
-    The iterates are held in Gram space (:func:`gram_cg`): one O(M n)
-    pass u = P g per solve (none when ``sp.pg`` gives u), then O(M^2)
-    per CG iteration with no n-length work, and p is formed once, at
-    exit (one pass P^T x).  No product with B is made: the model value
-    g^T p + 0.5 p^T B p is advanced along each step t d from r^T d and
-    the curvature d^T B d already at hand.
-
-    The multiplier is always reported as 0; a boundary exit carries
-    status "boundary" without polishing the boundary equation.
-    """
-    f = frame(mem, sp)
-    cg = gram_cg(mem, f, sp.delta)
-    p = frame_step(mem, sp.g, cg.x)
+    p = frame_step(mem, sp.g, x)
+    p_norm = float(np.linalg.norm(p))
+    if status == BOUNDARY and not p_norm > 0.0:
+        status = BREAKDOWN  # ||p||^2 underflowed: the step is not on the sphere
     return SubproblemResult(
         p=p,
-        p_norm=float(np.linalg.norm(p)),
+        p_norm=p_norm,
         sigma=0.0,
-        status=cg.status,
-        inner_iterations=cg.iterations,
-        model_reduction=-cg.model_value,
+        status=status,
+        inner_iterations=iterations,
+        model_reduction=-q,
         pg=sp.pg or PanelProduct(f[0, 1:], mem.version, math.sqrt(sp.gg)),
     )
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,16 +10,31 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
-    # The demos use the public API the way a reader would; one that no
-    # longer runs means the API moved under it.
+def run_python(args):
+    """Run Python with ``src`` on the path and every RuntimeWarning an error."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    # The demos use the public API the way a reader would; one that no
+    # longer runs means the API moved under it.
+    done = run_python([str(demo)])
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_readme_quickstart_runs():
+    # The README's first python block is the library quickstart; it must
+    # run as written and end by printing the run's status.
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    done = run_python(["-c", code])
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("converged"), done.stdout

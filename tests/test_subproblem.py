@@ -216,11 +216,13 @@ class TestMssSolve:
         # With no pairs and delta = 1e-170, one Newton step gives p with
         # entries near 3e-171, whose squares underflow: the n-space ||p||
         # reads 0.  mss names that a breakdown instead of handing phi a
-        # zero norm, and still returns a finite p.
-        result = mss_solve(PairMemory(10, 3), Subproblem(g=np.ones(10), delta=1e-170))
-        assert result.status == BREAKDOWN
-        assert result.inner_iterations == 1
-        assert np.all(np.isfinite(result.p))
+        # zero norm, and still returns a finite p.  steihaug's first CG
+        # step, cut to the sphere, underflows alike and is no boundary exit.
+        for solve in (mss_solve, steihaug_solve):
+            result = solve(PairMemory(10, 3), Subproblem(g=np.ones(10), delta=1e-170))
+            assert result.status == BREAKDOWN
+            assert result.inner_iterations == 1
+            assert np.all(np.isfinite(result.p))
 
     def test_huge_gradient_reaches_boundary(self):
         # g scaled by 1e140 puts ||p|| near 5.6e102 at sigma = 0, past the
