@@ -44,7 +44,7 @@ from .errors import NumericalBreakdownError
 EPS = float(np.finfo(float).eps)
 SQRT_EPS = math.sqrt(EPS)
 # A carried u = P g is used while its rounding bound, in units of
-# eps ||panel row||, stays within CARRY_BOUND ||g||: a fresh product
+# n eps ||panel row||, stays within CARRY_BOUND ||g||: a fresh product
 # stands at ||g||.  Chosen for accuracy, not for evaluation counts:
 # unguarded, nondia at n = 1e5 (a gradient falling 1.7e4-fold in one
 # step) left the carried u off by 7.9e-9 ||row|| ||g||; with the bound
@@ -68,10 +68,10 @@ class PanelProduct:
     """u = P v for a memory's panel P at one ``version`` of the memory.
 
     ``error`` bounds the rounding of every entry of u in units of
-    eps ||panel row||: ||v|| for a direct product, plus what each
-    :meth:`PairMemory.carry` adds.  Solvers accept the product in place
-    of their own pass over the panel and reject it once the memory has
-    changed.
+    n eps ||panel row||, as a length-n dot product rounds: ||v|| for a
+    direct product, plus what each :meth:`PairMemory.carry` adds.
+    Solvers accept the product in place of their own pass over the panel
+    and reject it once the memory has changed.
     """
 
     u: np.ndarray
@@ -227,9 +227,10 @@ class PairMemory:
         slot's two become the direct products s^T g and y^T g, and the
         newest pair's Gram column P y is added.  Each carried entry adds
         the rounding of one product with y and of one addition, so the
-        bound grows by ||y|| + ||g_trial||, with ||y|| read from the
-        diagonal of G.  Returns None, forming nothing, once that bound
-        passes CARRY_BOUND ||g_trial||: the next solve forms u afresh.
+        bound grows by ||y|| + ||g_trial|| in units of n eps ||panel row||,
+        ||y|| read from the diagonal of G.  Returns None, forming nothing,
+        once that bound passes CARRY_BOUND ||g_trial||: the next solve
+        forms u afresh.
         """
         if pg.version != self._version - 1:
             raise ValueError("product is not from the version before the last update")

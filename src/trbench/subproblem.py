@@ -89,15 +89,17 @@ class MssOptions:
     """Boundary accuracy for :func:`mss_solve`.
 
     tau_ms is the relative boundary tolerance |(||p|| - delta)| <= tau_ms*delta,
-    positive and finite.  The Newton iteration cap is the constant
+    finite and at least 4 eps: below that the rounding of ||p|| can
+    keep Newton from settling, and at 1e-16 half of random boundary
+    solves end "max_iterations".  The Newton iteration cap is the constant
     MSS_MAX_ITERATIONS = 100.
     """
 
     tau_ms: float = SQRT_EPS
 
     def __post_init__(self):
-        if not 0.0 < self.tau_ms < math.inf:
-            raise ValueError(f"tau_ms must be positive and finite, got {self.tau_ms}")
+        if not 4.0 * EPS <= self.tau_ms < math.inf:
+            raise ValueError(f"tau_ms must be finite and at least 4 eps = {4.0 * EPS:.3g}, got {self.tau_ms}")
 
 
 @dataclass
@@ -201,7 +203,22 @@ def frame(mem: PairMemory, sp: Subproblem) -> np.ndarray:
 
 def frame_step(mem: PairMemory, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Form p = x[0] g + P^T x[1:] in n-space: one pass over the panel."""
-    return x[0] * g + mem.panel.T @ x[1:]
+    # np.dot, not @: with no pairs, @ takes numpy's slow zero-size path.
+    return x[0] * g + np.dot(mem.panel.T, x[1:])
+
+
+def _result(mem, sp, f, p, p_norm, sigma, status, iterations, reduction) -> SubproblemResult:
+    """Both solvers' result from the step p, its n-space norm and the frame f.
+
+    A boundary exit whose ||p|| is not > 0 (||p||^2 underflowed) is not on
+    the sphere and becomes a breakdown.  ``pg`` is ``sp.pg``, else the u = P g
+    read from f, with the rounding bound ||g|| of a direct product.
+    """
+    if status == BOUNDARY and not p_norm > 0.0:
+        status = BREAKDOWN
+    pg = sp.pg or PanelProduct(f[0, 1:], mem.version, math.sqrt(sp.gg))
+    return SubproblemResult(p=p, p_norm=p_norm, sigma=sigma, status=status,
+                            inner_iterations=iterations, model_reduction=reduction, pg=pg)
 
 
 @dataclass(frozen=True)
@@ -320,15 +337,8 @@ def mss_solve(
     if p is None:
         p = frame_step(mem, g, it.x)
         p_norm = float(np.linalg.norm(p))
-    return SubproblemResult(
-        p=p,
-        p_norm=p_norm,
-        sigma=it.sigma,
-        status=status,
-        inner_iterations=iterations,
-        model_reduction=0.5 * (it.sigma * p_norm**2 - float(g @ p)),
-        pg=sp.pg or PanelProduct(f[0, 1:], mem.version, math.sqrt(sp.gg)),
-    )
+    reduction = 0.5 * (it.sigma * p_norm**2 - float(g @ p))
+    return _result(mem, sp, f, p, p_norm, it.sigma, status, iterations, reduction)
 
 
 def _boundary_step(pp: float, pd: float, dd: float, delta: float) -> float:
@@ -423,18 +433,7 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
             rr = rr_new
 
     p = frame_step(mem, sp.g, x)
-    p_norm = float(np.linalg.norm(p))
-    if status == BOUNDARY and not p_norm > 0.0:
-        status = BREAKDOWN  # ||p||^2 underflowed: the step is not on the sphere
-    return SubproblemResult(
-        p=p,
-        p_norm=p_norm,
-        sigma=0.0,
-        status=status,
-        inner_iterations=iterations,
-        model_reduction=-q,
-        pg=sp.pg or PanelProduct(f[0, 1:], mem.version, math.sqrt(sp.gg)),
-    )
+    return _result(mem, sp, f, p, float(np.linalg.norm(p)), 0.0, status, iterations, -q)
 
 
 def dense_reference_solve(b_dense, g, delta: float) -> tuple[np.ndarray, float]:

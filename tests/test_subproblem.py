@@ -6,6 +6,7 @@ import pytest
 from trbench import (
     BOUNDARY,
     BREAKDOWN,
+    EPS,
     INTERIOR,
     MAX_ITERATIONS,
     SQRT_EPS,
@@ -233,10 +234,25 @@ class TestMssSolve:
         assert result.status == BOUNDARY
         assert check_optimality(mem, result, sp, tol=1e-6).passed
 
-    @pytest.mark.parametrize("tau_ms", [np.nan, np.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("tau_ms", [np.nan, np.inf, -1.0, 0.0, 1e-16, 3e-16])
     def test_tau_ms_must_be_positive_and_finite(self, tau_ms):
+        # Below the floor of 4 eps mss cannot meet the tolerance reliably.
         with pytest.raises(ValueError):
             MssOptions(tau_ms=tau_ms)
+
+    def test_tau_ms_floor_is_met(self):
+        # At the least accepted tau_ms, every boundary instance still ends
+        # on the sphere within it; at 3e-16 some end max_iterations instead.
+        rng = np.random.default_rng(11)
+        opts = MssOptions(tau_ms=4.0 * EPS)
+        for _ in range(100):
+            n = int(rng.integers(10, 200))
+            mem = random_memory(rng, n, int(rng.integers(1, 8)))
+            g = rng.standard_normal(n)
+            g *= rng.uniform(5.0, 50.0) / np.linalg.norm(g)
+            result = mss_solve(mem, Subproblem(g=g, delta=1.0), opts)
+            assert result.status == BOUNDARY
+            assert abs(np.linalg.norm(result.p) - 1.0) <= 4.0 * EPS
 
     def test_breakdown_returns_sigma_that_p_solves(self, rng, monkeypatch):
         # The recursion fails while preparing the second shift: the result
