@@ -101,11 +101,12 @@ def run_suite(
     each run's ``time_sec`` measures that run alone; rows sorted by
     (problem, n, solver).
 
-    Every solver's config and every problem instance (one for all
-    solvers) is built before the first run, so an empty list, an unknown
-    solver (:class:`TrConfig`) or a bad name or dimension (:func:`make`)
-    raises ValueError and nothing runs.  A raise during a run is recorded
-    with status ``error``.
+    Each entry of ``solvers`` replaces ``config.solver`` in a copy of
+    ``config``.  Every solver's config and every problem instance (one
+    for all solvers) is built before the first run, so an empty list, an
+    unknown solver (:class:`TrConfig`) or a bad name or dimension
+    (:func:`make`) raises ValueError and nothing runs.  A raise during a
+    run is recorded with status ``error``.
     """
     if not solvers or not problems:
         raise ValueError("run_suite needs at least one solver and one problem")

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import SQRT_EPS, PairMemory
+from .memory import PairMemory
 from .problems import PROBLEM_NAMES, fd_gradient_check, make
-from .subproblem import (BOUNDARY, INTERIOR, Subproblem, check_optimality, dense_reference_solve,
-                         frame, frame_step, gram_iterate, mss_solve, newton_sigma_update, steihaug_solve)
+from .subproblem import (BOUNDARY, INTERIOR, TAU_MS, Subproblem, check_optimality,
+                         dense_reference_solve, frame, frame_step, gram_iterate, mss_solve,
+                         newton_sigma_update, steihaug_solve, steihaug_tolerance)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def mss_certificates() -> list[CheckResult]:
     An instance fails the certificate when its status is neither interior
     nor boundary or :func:`check_optimality` rejects it; on every exit
     with sigma > 0 the boundary gap | ||p|| - delta | / delta is measured
-    against sqrt(eps).
+    against mss's default accuracy TAU_MS.
     """
     rng = np.random.default_rng(202)
     deltas = (1e-3, 1.0, 1e3)
@@ -124,7 +125,7 @@ def mss_certificates() -> list[CheckResult]:
         sigma_errors.append(abs(result.sigma - sigma_ref) / max(1.0, sigma_ref))
     return [
         CheckResult("criterion 2: mss results failing the certificate", float(failures), 0.0),
-        _worst("criterion 2: mss boundary gap where sigma > 0", gaps, SQRT_EPS),
+        _worst("criterion 2: mss boundary gap where sigma > 0", gaps, TAU_MS),
         _worst("criterion 2: mss p vs dense reference", p_errors, 1e-6),
         _worst("criterion 2: mss sigma vs dense reference", sigma_errors, 1e-6),
     ]
@@ -173,7 +174,7 @@ def product_round_trip() -> list[CheckResult]:
 
 
 def steihaug_decrease() -> list[CheckResult]:
-    """Criterion 5: steihaug's Cauchy decrease, and the residual rule on interior exits, 100 instances.
+    """Criterion 5: steihaug's Cauchy decrease, and its CG stop on interior exits, 100 instances.
 
     g^T B g and ||B p + g|| are read from the dense B, not from the a/b rows steihaug reads.
     """
@@ -195,7 +196,7 @@ def steihaug_decrease() -> list[CheckResult]:
         short_of_cauchy += not result.model_reduction >= cauchy * (1.0 - 1e-10) - 1e-12
         if result.status == INTERIOR:
             residual = float(np.linalg.norm(dense @ result.p + g))
-            residual_misses += not residual <= gnorm * min(0.1, gnorm**0.1) * (1.0 + 1e-9)
+            residual_misses += not residual <= steihaug_tolerance(gnorm) * (1.0 + 1e-9)
     return [
         CheckResult("criterion 5: steihaug results short of the Cauchy decrease",
                     float(short_of_cauchy), 0.0),

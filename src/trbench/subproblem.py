@@ -50,6 +50,18 @@ MSS_MAX_ITERATIONS = 100
 STEIHAUG_MAX_ITERATIONS = 100
 # Relative boundary accuracy of :func:`dense_reference_solve`.
 REFERENCE_TOL = 1e-10
+# mss's default relative boundary accuracy (``MssOptions.tau_ms``), also
+# the slack of :func:`check_optimality`'s feasibility test.
+TAU_MS = SQRT_EPS
+
+
+def steihaug_tolerance(gnorm: float) -> float:
+    """The residual norm ||g|| min(0.1, ||g||^0.1) at which steihaug's CG stops, gnorm = ||g||.
+
+    :func:`steihaug_solve` looks it up when it runs, so a caller may
+    patch it to run CG to another accuracy.
+    """
+    return gnorm * min(0.1, gnorm**0.1)
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,7 @@ class MssOptions:
     MSS_MAX_ITERATIONS = 100.
     """
 
-    tau_ms: float = SQRT_EPS
+    tau_ms: float = TAU_MS
 
     def __post_init__(self):
         if not 4.0 * EPS <= self.tau_ms < math.inf:
@@ -123,20 +135,12 @@ class SubproblemResult:
 
 @dataclass
 class OptimalityReport:
-    """Measured violations of the global-optimality conditions."""
+    """Measured violations of the global-optimality conditions, and whether they pass."""
 
     residual: float
     complementarity: float
     feasibility: float
-    residual_ok: bool
-    complementarity_ok: bool
-    feasibility_ok: bool
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        self.passed = (
-            self.residual_ok and self.complementarity_ok and self.feasibility_ok
-        )
+    passed: bool
 
 
 def phi(p_norm: float, delta: float) -> float:
@@ -362,8 +366,8 @@ def _boundary_step(pp: float, pd: float, dd: float, delta: float) -> float:
 def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
     """Truncated conjugate gradients on B p = -g inside the region.
 
-    CG starts from p = 0 and stops at the first of: residual small enough
-    (||r|| <= ||g|| * min(0.1, ||g||^0.1)), an iterate crossing the
+    CG starts from p = 0 and stops at the first of: a residual norm at
+    most :func:`steihaug_tolerance` of ||g||, an iterate crossing the
     boundary (step truncated to the sphere), non-positive or NaN
     curvature (cannot occur for SPD B, guarded anyway), or the iteration
     cap min(n, 100) (STEIHAUG_MAX_ITERATIONS = 100).
@@ -388,7 +392,7 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
     max_iterations = min(mem.n, STEIHAUG_MAX_ITERATIONS)
     rr = float(f[0, 0])  # ||r||^2 = g^T g at p = 0
     gnorm = math.sqrt(rr)
-    tolerance = gnorm * min(0.1, gnorm**0.1)
+    tolerance = steihaug_tolerance(gnorm)
 
     x = np.zeros(f.shape[0])  # the coordinates of p
     pp = 0.0  # ||p||^2
@@ -492,8 +496,8 @@ def check_optimality(
 
     Measures the stationarity residual ||B p + sigma p + g|| / ||g||, the
     complementarity |sigma * (delta - ||p||)| and the feasibility excess
-    ||p|| - delta (1 + sqrt(eps)), sqrt(eps) being mss's default boundary
-    tolerance tau_ms.  Passing requires residual <= tol,
+    ||p|| - delta (1 + TAU_MS), TAU_MS being mss's default boundary
+    tolerance.  Passing requires residual <= tol,
     complementarity <= tol * max(1, sigma*delta) and no feasibility excess.
     """
     p = result.p
@@ -505,12 +509,6 @@ def check_optimality(
     residual = float(np.linalg.norm(mem.multiply(p) + sigma * p + g))
     residual /= gnorm if gnorm > 0.0 else 1.0
     complementarity = abs(sigma * (delta - p_norm))
-    feasibility = p_norm - delta * (1.0 + SQRT_EPS)
-    return OptimalityReport(
-        residual=residual,
-        complementarity=complementarity,
-        feasibility=feasibility,
-        residual_ok=residual <= tol,
-        complementarity_ok=complementarity <= tol * max(1.0, sigma * delta),
-        feasibility_ok=feasibility <= 0.0,
-    )
+    feasibility = p_norm - delta * (1.0 + TAU_MS)
+    passed = residual <= tol and complementarity <= tol * max(1.0, sigma * delta) and feasibility <= 0.0
+    return OptimalityReport(residual, complementarity, feasibility, passed)

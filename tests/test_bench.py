@@ -198,6 +198,8 @@ class TestPerformanceProfile:
             curves = performance_profile(records)
         assert curves[0].n_dropped == 1
         assert curves[0].points == [(0.0, 1.0)]  # denominator excludes p2
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match="every problem"):
+            performance_profile(records[1:])
 
     def test_tie_credits_both_solvers(self):
         records = [
@@ -283,6 +285,12 @@ class TestCsvRoundTrip:
         path = tmp_path / "suite.csv"
         write_csv(records, path)
         assert read_csv(path) == records
+
+    def test_blank_row_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        header = "problem,n,solver,status,time_sec,fe,inner_iters,f_final,gnorm_final\n"
+        path.write_text(header + "\n" + "p,10,mss,converged,0.1,5,3,1.0,1e-9\n", encoding="utf-8")
+        assert [r.problem for r in read_csv(path)] == ["p"]
 
     def test_round_trip_awkward_floats(self, tmp_path):
         records = [

@@ -303,3 +303,10 @@ def test_carry_refuses_past_its_bound(rng):
     assert mem.version == version
     np.testing.assert_array_equal(mem.panel, panel)
     np.testing.assert_array_equal(mem.gram, gram)
+
+
+def test_sizes_must_be_positive():
+    with pytest.raises(ValueError, match="dimension"):
+        PairMemory(0)
+    with pytest.raises(ValueError, match="capacity"):
+        PairMemory(3, capacity=0)

@@ -431,7 +431,7 @@ def n_space_cg(mem, g, delta):
     with plain vectors, ``mem.multiply`` and n-space norms.
     """
     gnorm = float(np.linalg.norm(g))
-    tolerance = gnorm * min(0.1, gnorm**0.1) if gnorm > 0.0 else 0.0
+    tolerance = subproblem.steihaug_tolerance(gnorm)
     p, r = np.zeros(mem.n), g.copy()
     rr = float(r @ r)
     if math.sqrt(rr) <= tolerance:
@@ -487,7 +487,7 @@ def test_steihaug_matches_n_space_cg_and_dense_model(seed, n, family, shrink):
     want_p, want_status, want_iterations = n_space_cg(mem, g, sp.delta)
     assert (result.status, result.inner_iterations) == (want_status, want_iterations)
     p_norm = float(np.linalg.norm(p))
-    assert p_norm <= sp.delta * (1.0 + SQRT_EPS)
+    assert p_norm <= sp.delta * (1.0 + subproblem.TAU_MS)
 
     exact, scale = dense_bfgs(mem.pairs, mem.gamma, n)
     wide = p.astype(np.longdouble)
@@ -527,7 +527,7 @@ def test_steihaug_at_huge_gamma_never_raises(seed, n, delta):
     result = steihaug_solve(mem, Subproblem(g=mem.multiply(v), delta=delta))
     assert result.status in (INTERIOR, BOUNDARY, MAX_ITERATIONS)
     assert np.all(np.isfinite(result.p))
-    assert np.linalg.norm(result.p) <= delta * (1.0 + SQRT_EPS)
+    assert np.linalg.norm(result.p) <= delta * (1.0 + subproblem.TAU_MS)
 
 
 def awkward_floats():

@@ -9,7 +9,6 @@ from trbench import (
     EPS,
     INTERIOR,
     MAX_ITERATIONS,
-    SQRT_EPS,
     DegenerateDerivativeError,
     MssOptions,
     NumericalBreakdownError,
@@ -68,6 +67,8 @@ class TestPhi:
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
             phi(0.0, 1.0)
+        with pytest.raises(ValueError, match="delta"):
+            phi(1.0, 0.0)
 
 
 class TestNewtonSigmaUpdate:
@@ -176,7 +177,7 @@ class TestMssSolve:
                 g *= (20.0 * delta) / np.linalg.norm(g)
                 result = mss_solve(mem, Subproblem(g=g, delta=delta))
                 if result.status == BOUNDARY:
-                    assert abs(np.linalg.norm(result.p) - delta) <= SQRT_EPS * delta
+                    assert abs(np.linalg.norm(result.p) - delta) <= subproblem.TAU_MS * delta
                 report = check_optimality(
                     mem, result, Subproblem(g=g, delta=delta), tol=1e-6
                 )
@@ -307,7 +308,7 @@ class TestSteihaug:
         result = steihaug_solve(mem, sp)
         assert result.status == INTERIOR
         gnorm = np.linalg.norm(g)
-        tolerance = gnorm * min(0.1, gnorm**0.1)
+        tolerance = subproblem.steihaug_tolerance(gnorm)
         residual = mem.multiply(result.p) + g
         assert np.linalg.norm(residual) <= tolerance * (1.0 + 1e-9)
         want = np.linalg.solve(mem.materialize_dense(), -g)
@@ -336,6 +337,22 @@ class TestSteihaug:
             reductions.append(steihaug_solve(mem, sp).model_reduction)
         assert all(b > a for a, b in zip(reductions, reductions[1:]))
 
+    def test_patched_stop_runs_cg_further(self, rng, monkeypatch):
+        # steihaug_solve looks its CG stop up when it runs: a stop 1e-3
+        # times the rule, patched in, takes more iterations and ends under it.
+        mem = random_memory(rng, 25, 4)
+        g = rng.standard_normal(25)
+        g *= 0.05 / np.linalg.norm(g)
+        sp = Subproblem(g=g, delta=1e3)  # solution far inside
+        rule = subproblem.steihaug_tolerance
+        loose = steihaug_solve(mem, sp)
+        monkeypatch.setattr(subproblem, "steihaug_tolerance", lambda gnorm: 1e-3 * rule(gnorm))
+        tight = steihaug_solve(mem, sp)
+        assert loose.status == tight.status == INTERIOR
+        assert tight.inner_iterations > loose.inner_iterations
+        residual = np.linalg.norm(mem.multiply(tight.p) + g)
+        assert residual <= 1e-3 * rule(np.linalg.norm(g)) * (1.0 + 1e-9)
+
     def test_zero_gradient(self):
         mem = PairMemory(3)
         result = steihaug_solve(mem, Subproblem(g=np.zeros(3) + 0.0, delta=1.0))
@@ -359,7 +376,7 @@ class TestSteihaug:
         g = 1e140 * np.random.default_rng(1).standard_normal(20)
         result = steihaug_solve(mem, Subproblem(g=g, delta=1.0))
         assert result.status == BOUNDARY
-        assert np.linalg.norm(result.p) <= 1.0 + SQRT_EPS
+        assert np.linalg.norm(result.p) <= 1.0 + subproblem.TAU_MS
         assert 0.0 < result.model_reduction < np.inf
 
 
@@ -387,6 +404,8 @@ class TestDenseReference:
     def test_non_spd_rejected(self):
         with pytest.raises(ValueError):
             dense_reference_solve(np.diag([1.0, -1.0]), np.ones(2), 1.0)
+        with pytest.raises(ValueError, match="shapes"):
+            dense_reference_solve(np.eye(3), np.ones(2), 1.0)
         with pytest.raises(ValueError):
             dense_reference_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2), 1.0)
 
@@ -411,7 +430,7 @@ class TestCheckOptimality:
         result = mss_solve(mem, sp)
         result.p = result.p + 0.1 * e(0, 25)
         report = check_optimality(mem, result, sp, tol=1e-6)
-        assert not report.residual_ok
+        assert report.residual > 1e-6
         assert not report.passed
 
 
@@ -439,10 +458,23 @@ def test_extreme_gradient_scales(scale):
 def test_subproblem_validation():
     with pytest.raises(ValueError):
         Subproblem(g=np.ones(3), delta=0.0)
+    with pytest.raises(ValueError, match="vector"):
+        Subproblem(g=np.ones((3, 1)), delta=1.0)
     with pytest.raises(ValueError):
         Subproblem(g=np.array([1.0, np.inf]), delta=1.0)
     with pytest.raises(ValueError):
         Subproblem(g=np.array([1.0, np.nan]), delta=1.0)
+
+
+def test_settings_defined_once():
+    # mss's default accuracy and steihaug's CG stop, whose values every
+    # solver, certificate and check reads from these two names.
+    assert subproblem.TAU_MS == math.sqrt(EPS) == MssOptions().tau_ms
+    tolerance = subproblem.steihaug_tolerance
+    assert tolerance(0.0) == 0.0
+    assert tolerance(1.0) == 0.1
+    assert tolerance(100.0) == pytest.approx(10.0, rel=1e-15)  # 0.1 ||g||
+    assert tolerance(1e-20) == pytest.approx(1e-22, rel=1e-14)  # ||g||^1.1
 
 
 def test_subproblem_rejects_overflowing_gg():
