@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -103,13 +104,17 @@ def run_suite(
 
     Each entry of ``solvers`` replaces ``config.solver`` in a copy of
     ``config``.  Every solver's config and every problem instance (one
-    for all solvers) is built before the first run, so an empty list, an
-    unknown solver (:class:`TrConfig`) or a bad name or dimension
-    (:func:`make`) raises ValueError and nothing runs.  A raise during a
-    run is recorded with status ``error``.
+    for all solvers) is built before the first run, so an empty list, a
+    repeated solver or (name, n), an unknown solver (:class:`TrConfig`)
+    or a bad name or dimension (:func:`make`) raises ValueError and
+    nothing runs.  A raise during a run is recorded with status ``error``.
     """
     if not solvers or not problems:
         raise ValueError("run_suite needs at least one solver and one problem")
+    for what, keys in (("solver", solvers), ("problem", problems)):
+        repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+        if repeated:
+            raise ValueError(f"run_suite runs each {what} once, got {repeated[0]!r} twice")
     if config is None:
         config = TrConfig()
     configs = [replace(config, solver=solver) for solver in solvers]
@@ -124,68 +129,54 @@ def performance_profile(
 ) -> list[ProfileCurve]:
     """Dolan-More profiles on a log2 ratio axis.
 
-    For each problem, each solver's metric is divided by the best metric
-    among solvers that converged on it; solvers that failed get an
-    infinite ratio and never count.  Problems that no solver converged on
-    are dropped from the denominator (a warning reports how many).  An
-    unknown ``metric`` (see :data:`METRICS`) raises ValueError at entry.
+    The records form one table, (problem, n) -> {solver: metric}, in
+    which a run that did not converge holds None.  Each converged run's
+    metric is divided by its row's best; a solver that failed or did not
+    run a problem never counts on it.  Problems that no solver converged
+    on are dropped from the denominator (a warning reports how many).
+    An unknown ``metric`` (see :data:`METRICS`) raises ValueError at
+    entry, and so does a second run of one solver on one problem.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {tuple(METRICS)}")
     column = METRICS[metric]
     if not records:
         raise ValueError("no records")
-    solvers: list[str] = []
-    for record in records:
-        if record.solver not in solvers:
-            solvers.append(record.solver)
+    table: dict[tuple[str, int], dict[str, float | None]] = {}
+    for r in records:
+        row = table.setdefault((r.problem, r.n), {})
+        if r.solver in row:
+            raise ValueError(f"solver {r.solver!r} ran {r.problem!r} at n = {r.n} twice")
+        row[r.solver] = float(getattr(r, column)) if r.status == CONVERGED else None
 
-    by_problem: dict[tuple[str, int], list[RunRecord]] = {}
-    for record in records:
-        by_problem.setdefault((record.problem, record.n), []).append(record)
-
-    ratios: dict[str, list[float]] = {s: [] for s in solvers}
+    taus: dict[str, list[float]] = {r.solver: [] for r in records}
     dropped = 0
-    for rows in by_problem.values():
-        solved = [r for r in rows if r.status == CONVERGED]
+    for row in table.values():
+        solved = {solver: value for solver, value in row.items() if value is not None}
         if not solved:
             dropped += 1
             continue
-        best = min(float(getattr(r, column)) for r in solved)
-        for solver in solvers:
-            mine = [r for r in rows if r.solver == solver and r.status == CONVERGED]
-            if not mine:
-                ratios[solver].append(math.inf)
-                continue
-            value = float(getattr(mine[0], column))
+        best = min(solved.values())
+        for solver, value in solved.items():
             if best > 0.0:
-                ratios[solver].append(value / best)
+                ratio = value / best
             else:
-                ratios[solver].append(1.0 if value == 0.0 else math.inf)
+                ratio = 1.0 if value == 0.0 else math.inf
+            if math.isfinite(ratio):
+                taus[solver].append(math.log2(ratio))
     if dropped:
         warnings.warn(f"{dropped} problem(s) solved by no solver were dropped")
 
-    total = len(by_problem) - dropped
+    total = len(table) - dropped
     if total == 0:
         raise ValueError("every problem was unsolved; no profile to build")
-    all_taus = [
-        math.log2(r) for rs in ratios.values() for r in rs if math.isfinite(r)
-    ]
-    r_max = max(all_taus) if all_taus else 0.0
-
+    r_max = max((max(ts) for ts in taus.values() if ts), default=0.0)
     curves = []
-    for solver in solvers:
-        taus = sorted(math.log2(r) for r in ratios[solver] if math.isfinite(r))
-        points: list[tuple[float, float]] = []
-        seen = 0
-        for i, tau in enumerate(taus):
-            seen = i + 1
-            if i + 1 < len(taus) and taus[i + 1] == tau:
-                continue  # collapse ties into one breakpoint
-            points.append((tau, seen / total))
-        curves.append(
-            ProfileCurve(solver=solver, points=points, r_max=r_max, n_dropped=dropped)
-        )
+    for solver, ts in taus.items():
+        ts.sort()
+        # One breakpoint per distinct tau: the share of problems at or below it.
+        points = [(tau, bisect_right(ts, tau) / total) for tau in sorted(set(ts))]
+        curves.append(ProfileCurve(solver, points, r_max, dropped))
     return curves
 
 

@@ -151,7 +151,6 @@ def minimize(
     subproblem_time = 0.0
     accepted_steps = 0
     rejected_steps = 0
-    iteration = 0
     pg = None  # P g at mem's current version, when carried; else the solver forms it
     # Bound per minimize() call, so a solver patched onto this module is used.
     solve = mss_solve if config.solver == "mss" else steihaug_solve
@@ -167,7 +166,6 @@ def minimize(
             status = FE_BUDGET_EXHAUSTED
             break
 
-        iteration += 1
         t0 = time.perf_counter()
         result = solve(mem, Subproblem(g=g, delta=delta, pg=pg))
         subproblem_time += time.perf_counter() - t0
@@ -205,7 +203,7 @@ def minimize(
         if callback is not None:
             callback(
                 {
-                    "iteration": iteration,
+                    "iteration": accepted_steps + rejected_steps,
                     "x": x.copy(),
                     "f": f,
                     "gnorm": gnorm,

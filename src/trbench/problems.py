@@ -11,6 +11,7 @@ every gradient.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -199,6 +200,8 @@ def make(name: str, n: int = 1000) -> ProblemInstance:
             f"unknown problem {name!r}; supported: {', '.join(PROBLEM_NAMES)}"
         )
     fn, pattern, min_n = _REGISTRY[name]
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} needs an integer n, got {n!r}")
     n = int(n)
     block = len(pattern)
     if n < min_n or n % block:

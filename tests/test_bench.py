@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -136,6 +137,18 @@ class TestRunSuite:
             run_suite(["mss"], [("srosenbr", 10), ("woods", 10)])
         assert runs == []
 
+    @pytest.mark.parametrize("solvers, problems, message", [
+        (["mss", "steihaug", "mss"], [("srosenbr", 10)], "each solver once, got 'mss' twice"),
+        (["mss"], [("srosenbr", 10), ("woods", 12), ("srosenbr", 10)],
+         "each problem once, got ('srosenbr', 10) twice"),
+    ], ids=["solver", "problem"])
+    def test_repeated_run_raises_before_any_run(self, runs, solvers, problems, message):
+        # A second run of one (problem, n, solver) would profile a solver
+        # against itself.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_suite(solvers, problems)
+        assert runs == []
+
     @pytest.mark.parametrize("solvers, problems", [([], [("srosenbr", 10)]), (["mss"], [])])
     def test_empty_grid_raises(self, solvers, problems):
         with pytest.raises(ValueError, match="at least one solver and one problem"):
@@ -230,6 +243,14 @@ class TestPerformanceProfile:
         curves = {c.solver: c for c in performance_profile(records, metric="time")}
         assert curves["a"].points == [(0.0, 1.0)]
         assert curves["b"].points == [(0.0, 0.5)]
+
+    @pytest.mark.parametrize("status", ["converged", "radius_too_small"])
+    def test_second_run_of_a_solver_raises(self, status):
+        # Repeats are refused whatever their status: the profile has one
+        # cell per (problem, n, solver).
+        records = hand_case_records() + [record(problem="p2", solver="b", status=status)]
+        with pytest.raises(ValueError, match="solver 'b' ran 'p2' at n = 10 twice"):
+            performance_profile(records)
 
     def test_unknown_metric_raises_at_entry(self):
         # Checked before the records, which here hold no solved problem.
@@ -440,6 +461,10 @@ class TestCli:
         assert "unknown problem 'nosuch'" in capsys.readouterr().err
         assert main(["run", "--problems", ",", "--out", out]) == 2
         assert "at least one solver and one problem" in capsys.readouterr().err
+        assert main(["run", "--solver", "mss,mss", "--out", out]) == 2
+        assert "each solver once, got 'mss' twice" in capsys.readouterr().err
+        assert main(["run", "--problems", "eg2,srosenbr,eg2", "--out", out]) == 2
+        assert "each problem once, got ('eg2', 1000) twice" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("content, message", [
@@ -455,6 +480,14 @@ class TestCli:
         assert main(["profile", "--in", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_profile_of_a_repeated_run_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        write_csv(hand_case_records() + [record(problem="p1", solver="a", fe=30)], path)
+        out = tmp_path / "p.csv"
+        assert main(["profile", "--in", str(path), "--out", str(out)]) == 2
+        assert "error: solver 'a' ran 'p1' at n = 10 twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_run_output_exits_two(self, tmp_path, capsys, monkeypatch):

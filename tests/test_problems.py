@@ -18,7 +18,8 @@ def test_unknown_name_rejected():
 
 @pytest.mark.parametrize(
     "name,bad_n",
-    [("srosenbr", 3), ("srosenbr", 0), ("woods", 10), ("woods", 2), ("dqdrtic", 2)],
+    [("srosenbr", 3), ("srosenbr", 0), ("woods", 10), ("woods", 2), ("dqdrtic", 2),
+     ("srosenbr", 10.7), ("srosenbr", "12")],
 )
 def test_structural_dimension_constraints(name, bad_n):
     with pytest.raises(ValueError):

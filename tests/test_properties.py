@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from trbench import (
     BOUNDARY,
+    BREAKDOWN,
     CONVERGED,
     EPS,
     FE_BUDGET_EXHAUSTED,
@@ -507,13 +508,10 @@ def test_steihaug_matches_n_space_cg_and_dense_model(seed, n, family, shrink):
     assert all(b >= a > 0.0 for a, b in zip(reductions, reductions[1:]))
 
 
-@PROPERTY
-@given(seed=seeds, n=st.integers(2, 40), delta=st.sampled_from([1e-3, 1.0, 1e3]))
-def test_steihaug_at_huge_gamma_never_raises(seed, n, delta):
+def huge_gamma_subproblem(seed, n, delta):
     # gamma = 1e27 (s = 1e10 e_0, y = 1e-17 e_0 passes the gate) beside
     # two ordinary pairs, and g = B v with v_0 = 0: the frame's Gram
-    # matrix spans twenty-odd orders of magnitude, and CG must still end
-    # with a status of its own and a finite step in the region.
+    # matrix spans twenty-odd orders of magnitude.
     rng = np.random.default_rng(seed)
     mem = PairMemory(n, 3)
     for _ in range(2):
@@ -524,10 +522,31 @@ def test_steihaug_at_huge_gamma_never_raises(seed, n, delta):
     assert mem.try_update(s, y)
     v = rng.standard_normal(n)
     v[0] = 0.0
-    result = steihaug_solve(mem, Subproblem(g=mem.multiply(v), delta=delta))
+    return mem, Subproblem(g=mem.multiply(v), delta=delta)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(2, 40), delta=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_steihaug_at_huge_gamma_never_raises(seed, n, delta):
+    # CG must still end with a status of its own and a finite step in the region.
+    mem, sp = huge_gamma_subproblem(seed, n, delta)
+    result = steihaug_solve(mem, sp)
     assert result.status in (INTERIOR, BOUNDARY, MAX_ITERATIONS)
     assert np.all(np.isfinite(result.p))
     assert np.linalg.norm(result.p) <= delta * (1.0 + subproblem.TAU_MS)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(2, 40), delta=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_mss_at_huge_gamma_never_raises(seed, n, delta):
+    # mss may give up here (breakdown or max_iterations, with a finite
+    # step); an exit that claims a solution must pass the certificate.
+    mem, sp = huge_gamma_subproblem(seed, n, delta)
+    result = mss_solve(mem, sp)
+    assert result.status in (INTERIOR, BOUNDARY, MAX_ITERATIONS, BREAKDOWN)
+    assert np.all(np.isfinite(result.p))
+    if result.status in (INTERIOR, BOUNDARY):
+        assert check_optimality(mem, result, sp, 1e-6).passed
 
 
 def awkward_floats():
