@@ -167,7 +167,7 @@ def minimize(
             break
 
         t0 = time.perf_counter()
-        result = solve(mem, Subproblem(g=g, delta=delta, pg=pg))
+        result = solve(mem, Subproblem(g=g, delta=delta, pg=pg, gg=gg))
         subproblem_time += time.perf_counter() - t0
         inner_total += result.inner_iterations
         pg = result.pg
@@ -192,7 +192,7 @@ def minimize(
             delta = min(GAMMA1 * result.p_norm, DELTA_HAT) if ratio >= ETA2 else result.p_norm
             gnorm_trial = math.sqrt(gg_trial)
             pg = mem.carry(pg, g, gnorm_trial) if pair_stored else None
-            x, f, g, gnorm = x_trial, f_trial, g_trial, gnorm_trial
+            x, f, g, gg, gnorm = x_trial, f_trial, g_trial, gg_trial, gnorm_trial
             accepted_steps += 1
         else:
             delta = GAMMA2 * delta

@@ -11,6 +11,7 @@ every gradient.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -25,12 +26,20 @@ _FD_COORDS = 50
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """A named objective: dimension, (f, g) evaluation, default start."""
+    """A named objective: dimension, (f, g) evaluation, default start (read-only from :func:`make`)."""
 
     name: str
     n: int
     eval: Callable[[np.ndarray], tuple[float, np.ndarray]]
     x0: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)  # the latest n only: 0.8 MB at n = 1e5
+def _indices(n: int) -> np.ndarray:
+    """The read-only floats 1..n, shared by every evaluation at this n."""
+    idx = np.arange(1.0, n + 1.0)
+    idx.flags.writeable = False
+    return idx
 
 
 def _srosenbr(x):
@@ -68,8 +77,7 @@ def _dqdrtic(x):
 
 def _dqrtic(x):
     """sum_i (x_i - i)^4 with 1-based i."""
-    idx = np.arange(1.0, x.size + 1.0)
-    t = x - idx
+    t = x - _indices(x.size)
     t2 = t * t  # products, not **: numpy takes t**4 through pow, many times slower
     return float(np.sum(t2 * t2)), 4.0 * t2 * t
 
@@ -112,22 +120,23 @@ def _nondia(x):
 def _liarwhd(x):
     """sum_i 4 (x_i^2 - x_1)^2 + (x_i - 1)^2."""
     t = x**2 - x[0]
-    f = np.sum(4.0 * t**2 + (x - 1.0) ** 2)
-    g = 16.0 * x * t + 2.0 * (x - 1.0)
+    u = x - 1.0
+    f = np.sum(4.0 * t**2 + u**2)
+    g = 16.0 * x * t + 2.0 * u
     g[0] += -8.0 * np.sum(t)
     return float(f), g
 
 
 def _power(x):
     """sum_i (i x_i)^2 with 1-based i (ill-conditioned diagonal quadratic)."""
-    idx = np.arange(1.0, x.size + 1.0)
+    idx = _indices(x.size)
     f = np.sum((idx * x) ** 2)
     return float(f), 2.0 * idx**2 * x
 
 
 def _tridia(x):
     """(x_1 - 1)^2 + sum_{i>=2} i (2 x_i - x_{i-1})^2."""
-    w = np.arange(2.0, x.size + 1.0)
+    w = _indices(x.size)[1:]  # 2..n
     t = 2.0 * x[1:] - x[:-1]
     f = (x[0] - 1.0) ** 2 + np.sum(w * t**2)
     g = np.zeros_like(x)
@@ -173,7 +182,7 @@ def _engval1(x):
     return float(f), g
 
 
-# name -> (eval, start pattern, min_n).  The start tiles the pattern, so
+# name -> (eval, start pattern, min_n).  The start repeats the pattern, so
 # n must also be a multiple of its length: one block of srosenbr or woods.
 _REGISTRY = {
     "srosenbr": (_srosenbr, (-1.2, 1.0), 2),
@@ -194,7 +203,10 @@ PROBLEM_NAMES = tuple(_REGISTRY)
 
 
 def make(name: str, n: int = 1000) -> ProblemInstance:
-    """Build a problem instance by name at dimension n (default 1000)."""
+    """Build a problem instance by name at dimension n (default 1000).
+
+    ``x0`` is read-only: a zero-stride view of a one-value start pattern, else its tile.
+    """
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown problem {name!r}; supported: {', '.join(PROBLEM_NAMES)}"
@@ -214,7 +226,9 @@ def make(name: str, n: int = 1000) -> ProblemInstance:
             raise ValueError(f"x has shape {x.shape}, expected ({n},)")
         return fn(x)
 
-    return ProblemInstance(name=name, n=n, eval=evaluate, x0=np.tile(pattern, n // block))
+    x0 = np.broadcast_to(pattern[0], (n,)) if block == 1 else np.tile(pattern, n // block)
+    x0.flags.writeable = False
+    return ProblemInstance(name=name, n=n, eval=evaluate, x0=x0)
 
 
 def fd_gradient_check(problem: ProblemInstance, x) -> float:

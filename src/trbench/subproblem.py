@@ -68,17 +68,18 @@ def steihaug_tolerance(gnorm: float) -> float:
 class Subproblem:
     """Gradient and radius defining one trust-region subproblem.
 
-    ``gg`` is g^T g, the corner of both solvers' Gram frame.  It is finite
-    exactly when every entry of g is finite and the sum does not
-    overflow, so one check rejects both.  ``pg``, when given, is P g for
-    the panel P of the memory at its current version, and the solver
-    skips that pass; the caller vouches that it is the product with this g.
+    ``gg`` is g^T g, the corner of both solvers' Gram frame, formed here
+    unless given.  It is finite exactly when every entry of g is finite
+    and the sum does not overflow, so one check rejects both.  ``pg``,
+    when given, is P g for the panel P of the memory at its current
+    version, and the solver skips that pass; the caller vouches that a
+    given ``gg`` or ``pg`` belongs to this g.
     """
 
     g: np.ndarray
     delta: float
     pg: PanelProduct | None = None
-    gg: float = field(init=False, repr=False)
+    gg: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -86,7 +87,7 @@ class Subproblem:
         if g.ndim != 1:
             raise ValueError("g must be a vector")
         with np.errstate(over="ignore", invalid="ignore"):
-            gg = float(g @ g)
+            gg = float(g @ g if self.gg is None else self.gg)
         if not math.isfinite(gg):
             raise ValueError(f"g must be finite with finite g^T g, got g^T g = {gg}")
         if not delta > 0.0:
@@ -206,15 +207,30 @@ def frame(mem: PairMemory, sp: Subproblem) -> np.ndarray:
 
 
 def frame_step(mem: PairMemory, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Form p = x[0] g + P^T x[1:] in n-space: one pass over the panel."""
-    # np.dot, not @: with no pairs, @ takes numpy's slow zero-size path.
+    """Form p = x[0] g + P^T x[1:] in n-space: one pass over the panel, none with no pairs."""
+    if mem.m == 0:
+        return x[0] * g
     return x[0] * g + np.dot(mem.panel.T, x[1:])
+
+
+def _norm(p: np.ndarray) -> float:
+    """Both solvers' n-space ||p||, taken of 2^600 p when it reads below 2^-511.
+
+    Above 2^-511, the root of the least normal, a square that underflows is
+    off by at most 2^-1075 <= eps ||p||^2 / 2, inside the dot product's own
+    rounding.  Below it every entry is below 2^-511, so 2^600 p has no
+    subnormal or overflowing square; both scalings are exact.
+    """
+    norm = float(np.linalg.norm(p))
+    if norm < 2.0**-511:
+        norm = float(np.linalg.norm(p * 2.0**600)) * 2.0**-600
+    return norm
 
 
 def _result(mem, sp, f, p, p_norm, sigma, status, iterations, reduction) -> SubproblemResult:
     """Both solvers' result from the step p, its n-space norm and the frame f.
 
-    A boundary exit whose ||p|| is not > 0 (||p||^2 underflowed) is not on
+    A boundary exit whose ||p|| is not > 0 (p underflowed to 0) is not on
     the sphere and becomes a breakdown.  ``pg`` is ``sp.pg``, else the u = P g
     read from f, with the rounding bound ||g|| of a direct product.
     """
@@ -312,10 +328,10 @@ def mss_solve(
     while True:
         # A Gram-space norm that cancelled to zero cannot drive Newton;
         # the n-space norm replaces it as it does at an exit, and one that
-        # underflows to zero (||p||^2 under the least subnormal) is a breakdown.
+        # is zero (every entry of p underflowed) is a breakdown.
         if settled(p_norm) is not None or not p_norm > 0.0:
             p = frame_step(mem, g, it.x)
-            p_norm = float(np.linalg.norm(p))
+            p_norm = _norm(p)
             status = settled(p_norm) or (None if p_norm > 0.0 else BREAKDOWN)
             if status is not None:
                 break
@@ -340,7 +356,7 @@ def mss_solve(
 
     if p is None:
         p = frame_step(mem, g, it.x)
-        p_norm = float(np.linalg.norm(p))
+        p_norm = _norm(p)
     reduction = 0.5 * (it.sigma * p_norm**2 - float(g @ p))
     return _result(mem, sp, f, p, p_norm, it.sigma, status, iterations, reduction)
 
@@ -437,7 +453,7 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
             rr = rr_new
 
     p = frame_step(mem, sp.g, x)
-    return _result(mem, sp, f, p, float(np.linalg.norm(p)), 0.0, status, iterations, -q)
+    return _result(mem, sp, f, p, _norm(p), 0.0, status, iterations, -q)
 
 
 def dense_reference_solve(b_dense, g, delta: float) -> tuple[np.ndarray, float]:

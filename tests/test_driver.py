@@ -261,6 +261,23 @@ class TestMinimize:
         assert trace[0]["accepted"] and trace[0]["pair_stored"]
         assert seen[1] == (1, carried)
 
+    @pytest.mark.parametrize("solver", ["mss", "steihaug"])
+    def test_solver_gets_the_drivers_gg(self, monkeypatch, solver):
+        # minimize passes its own g'g, formed once per gradient, to every
+        # solve; it must be the g'g of that solve's g.
+        seen = []
+        solve = getattr(driver, f"{solver}_solve")
+
+        def spy(mem, sp):
+            seen.append(sp.gg == float(sp.g @ sp.g))
+            return solve(mem, sp)
+
+        monkeypatch.setattr(driver, f"{solver}_solve", spy)
+        result = minimize(make("srosenbr", 10), TrConfig(solver=solver))
+        assert result.accepted_steps and result.rejected_steps
+        assert len(seen) == result.accepted_steps + result.rejected_steps
+        assert all(seen)
+
     def test_radius_too_small_exit(self):
         # Constant f with nonzero reported gradient: every step is rejected
         # and the radius halves from DELTA0 = 1 to the floor MIN_DELTA = 1e-13.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trbench import PROBLEM_NAMES, ProblemInstance, fd_gradient_check, make
+from trbench import PROBLEM_NAMES, ProblemInstance, fd_gradient_check, make, problems
 
 
 def test_supported_names():
@@ -124,3 +124,75 @@ def test_eval_validates_dimension():
     problem = make("power", 10)
     with pytest.raises(ValueError):
         problem.eval(np.ones(11))
+
+
+# Reference formulas that build their weights with a fresh arange on
+# every evaluation: the shared read-only weights must give the same bits.
+def _dqrtic_inline(x):
+    t = x - np.arange(1.0, x.size + 1.0)
+    t2 = t * t
+    return float(np.sum(t2 * t2)), 4.0 * t2 * t
+
+
+def _power_inline(x):
+    idx = np.arange(1.0, x.size + 1.0)
+    return float(np.sum((idx * x) ** 2)), 2.0 * idx**2 * x
+
+
+def _tridia_inline(x):
+    w = np.arange(2.0, x.size + 1.0)
+    t = 2.0 * x[1:] - x[:-1]
+    f = (x[0] - 1.0) ** 2 + np.sum(w * t**2)
+    g = np.zeros_like(x)
+    g[1:] += 4.0 * w * t
+    g[:-1] += -2.0 * w * t
+    g[0] += 2.0 * (x[0] - 1.0)
+    return float(f), g
+
+
+def _liarwhd_inline(x):
+    t = x**2 - x[0]
+    f = np.sum(4.0 * t**2 + (x - 1.0) ** 2)
+    g = 16.0 * x * t + 2.0 * (x - 1.0)
+    g[0] += -8.0 * np.sum(t)
+    return float(f), g
+
+
+def assert_same_bits(got, want):
+    (f, g), (f_want, g_want) = got, want
+    assert f.hex() == f_want.hex()
+    np.testing.assert_array_equal(g, g_want)
+    np.testing.assert_array_equal(np.signbit(g), np.signbit(g_want))
+
+
+@pytest.mark.parametrize("name, inline", [
+    ("dqrtic", _dqrtic_inline), ("power", _power_inline),
+    ("tridia", _tridia_inline), ("liarwhd", _liarwhd_inline),
+])
+def test_shared_weights_keep_every_bit(name, inline):
+    rng = np.random.default_rng(11)
+    for n in (7, 1000, 7):  # the weights are rebuilt when n changes
+        problem = make(name, n)
+        tiny = rng.standard_normal(n) * 1e-310  # subnormal entries
+        mixed = np.where(rng.uniform(size=n) < 0.5, tiny, rng.standard_normal(n))
+        points = [np.array(problem.x0), tiny, -tiny, mixed]
+        points += [problem.x0 + rng.standard_normal(n) for _ in range(3)]
+        for x in points:
+            assert_same_bits(problem.eval(x), inline(x))
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_start_is_read_only_and_evaluates_as_its_copy(name):
+    _, pattern, _ = problems._REGISTRY[name]
+    n = 24
+    problem = make(name, n)
+    x0 = problem.x0
+    np.testing.assert_array_equal(x0, np.tile(pattern, n // len(pattern)))
+    assert not x0.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        x0[0] = 0.0
+    if len(pattern) == 1:
+        assert x0.strides == (0,)  # one value, n views of it
+    f, g = problem.eval(x0)
+    assert_same_bits((f, g), problem.eval(np.array(x0)))
+    assert g.flags.c_contiguous and g.flags.writeable

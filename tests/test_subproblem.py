@@ -215,13 +215,17 @@ class TestMssSolve:
                 assert np.all(np.isfinite(result.p))
 
     def test_underflowing_step_norm_is_a_breakdown(self):
-        # With no pairs and delta = 1e-170, one Newton step gives p with
-        # entries near 3e-171, whose squares underflow: the n-space ||p||
-        # reads 0.  mss names that a breakdown instead of handing phi a
-        # zero norm, and still returns a finite p.  steihaug's first CG
-        # step, cut to the sphere, underflows alike and is no boundary exit.
+        # With no pairs and delta = 1e-170, one step gives p with entries
+        # near 3e-171, whose squares underflow: the n-space ||p|| is taken
+        # scaled, so both solvers end on the sphere.  At delta = 5e-324,
+        # the least subnormal, a step on the sphere in n = 100 has entries
+        # that round to 0: that is no boundary exit, and both solvers still
+        # return a finite p.
         for solve in (mss_solve, steihaug_solve):
             result = solve(PairMemory(10, 3), Subproblem(g=np.ones(10), delta=1e-170))
+            assert result.status == BOUNDARY
+            assert result.p_norm == pytest.approx(1e-170, rel=4.0 * EPS, abs=0.0)
+            result = solve(PairMemory(100, 3), Subproblem(g=np.ones(100), delta=5e-324))
             assert result.status == BREAKDOWN
             assert result.inner_iterations == 1
             assert np.all(np.isfinite(result.p))
@@ -486,6 +490,37 @@ def test_subproblem_rejects_overflowing_gg():
         Subproblem(g=g, delta=1.0)
     h = 1e-3 * g
     assert Subproblem(g=h, delta=1.0).gg == float(h @ h)
+
+
+def test_given_gg_is_used_and_checked():
+    g = np.array([3.0, 4.0])
+    assert Subproblem(g=g, delta=1.0, gg=25.0).gg == 25.0
+    with pytest.raises(ValueError, match="g\\^T g"):
+        Subproblem(g=g, delta=1.0, gg=math.inf)
+
+
+@pytest.mark.parametrize("solve", [mss_solve, steihaug_solve])
+def test_tiny_radius_norm_survives_subnormal_squares(solve):
+    # Near delta = 1e-159 the squares of p's entries are subnormal, and the
+    # plain ||p|| read steihaug's boundary exits up to 1.6e-4 off delta.
+    # Every reported p_norm is ||p|| to rounding, and a steihaug boundary
+    # exit lies on the sphere.
+    rng = np.random.default_rng(7)
+    boundary = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 41))
+        mem = random_memory(rng, n, int(rng.integers(1, 6)))
+        g = rng.standard_normal(n)
+        delta = 10.0 ** -rng.uniform(150, 170)
+        result = solve(mem, Subproblem(g=g / np.linalg.norm(g), delta=delta))
+        big = float(np.max(np.abs(result.p)))
+        if big > 0.0:
+            scaled = big * np.linalg.norm(result.p / big)
+            assert result.p_norm == pytest.approx(scaled, rel=1e-14, abs=0.0)
+        if solve is steihaug_solve and result.status == BOUNDARY:
+            boundary += 1
+            assert result.p_norm == pytest.approx(delta, rel=1e-12, abs=0.0)
+    assert solve is mss_solve or boundary >= 100
 
 
 @pytest.mark.parametrize("solve", [mss_solve, steihaug_solve])
