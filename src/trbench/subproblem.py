@@ -295,62 +295,53 @@ def mss_solve(
     the pole function, each at the price of one recursion ``prepare``:
     the iterates are held in Gram space (:func:`gram_iterate`), so after
     one O(M n) pass u = P g (none when ``sp.pg`` gives u) the loop costs
-    O(M^3) per iteration and does no n-length work.  p is formed once, at
-    exit (one pass P^T x), and the interior and boundary tests are
-    decided on the n-space norm of
-    the returned p; if that norm misses the test the Gram-space norm
-    passed, the iteration continues from it.  No forward product with B
-    is made: since (B + sigma I) p = -g holds for the returned pair, the
-    model reduction is (sigma ||p||^2 - g^T p)/2, a sum of two
-    nonnegative terms.
+    O(M^3) per iteration and does no n-length work.
+
+    Each exit is decided by one status test on ||p||: "interior" for
+    ||p|| <= delta (first iterate only), "boundary" for
+    |(||p|| - delta)| <= tau_ms*delta, "breakdown" for ||p|| not > 0.  It
+    reads the Gram-space norm until that passes or cancels to zero; then
+    p is formed (one pass P^T x) and the test reads p's n-space norm, and
+    if that misses, Newton continues from it.  A Newton step outside
+    [0, inf), which cannot occur for SPD B, or a failed recursion is a
+    breakdown.  No forward product with B is made: since
+    (B + sigma I) p = -g holds for the returned pair, the model reduction
+    is (sigma ||p||^2 - g^T p)/2, a sum of two nonnegative terms.
 
     Returns a result with status "interior", "boundary", "max_iterations"
     (MSS_MAX_ITERATIONS = 100 Newton steps taken, whatever n is; the last
-    iterate returned) or "breakdown" (recursion failure or a negative
-    Newton step, both pathological for SPD B, or an ||p|| that underflows).
+    iterate returned) or "breakdown".
     """
-    if opts is None:
-        opts = MssOptions()
+    tau_ms = TAU_MS if opts is None else opts.tau_ms
     g, delta = sp.g, sp.delta
     f = frame(mem, sp)
     it = gram_iterate(mem, f, 0.0)
     p_norm = it.p_norm
     p = None  # the iterate in n-space, formed only when it may be returned
     iterations = 0
-
-    def settled(norm: float) -> str | None:
-        if iterations == 0 and norm <= delta:
-            return INTERIOR
-        if abs(norm - delta) <= opts.tau_ms * delta:
-            return BOUNDARY
-        return None
-
     while True:
-        # A Gram-space norm that cancelled to zero cannot drive Newton;
-        # the n-space norm replaces it as it does at an exit, and one that
-        # is zero (every entry of p underflowed) is a breakdown.
-        if settled(p_norm) is not None or not p_norm > 0.0:
+        status = (INTERIOR if iterations == 0 and p_norm <= delta
+                  else BOUNDARY if abs(p_norm - delta) <= tau_ms * delta
+                  else None if p_norm > 0.0 else BREAKDOWN)
+        if status is not None and p is None:  # decide again on p's n-space norm
             p = frame_step(mem, g, it.x)
             p_norm = _norm(p)
-            status = settled(p_norm) or (None if p_norm > 0.0 else BREAKDOWN)
-            if status is not None:
-                break
+            continue
+        if status is not None:
+            break
         if iterations >= MSS_MAX_ITERATIONS:
             status = MAX_ITERATIONS
             break
         iterations += 1
+        status = BREAKDOWN  # unless the Newton step is in range and solved
         try:
             sigma_new = newton_sigma_update(it.sigma, p_norm, it.curvature, delta)
-            if not math.isfinite(sigma_new) or sigma_new < 0.0:
-                # Newton stays in [0, sigma*] for SPD B; a negative step
-                # means the iteration has lost its footing.
-                status = BREAKDOWN
+            if not 0.0 <= sigma_new < math.inf:
                 break
             # The iterate changes only once it is solved, so a breakdown
             # returns a pair (sigma, p) that solves the system.
             it = gram_iterate(mem, f, sigma_new)
         except (NumericalBreakdownError, DegenerateDerivativeError):
-            status = BREAKDOWN
             break
         p, p_norm = None, it.p_norm
 
@@ -365,18 +356,21 @@ def _boundary_step(pp: float, pd: float, dd: float, delta: float) -> float:
     """Positive tau with ||p + tau d|| = delta, given p^T p, p^T d and d^T d.
 
     For ||p|| <= delta and d != 0; a rest delta^2 - p^T p that rounds
-    negative counts as 0, and so does d^T d when it rounds to 0.  tau is
-    unchanged when p, d and delta scale alike, so a delta outside
-    2^-100..2^100 is scaled into it by an exact power of two first: no
-    product below under- or overflows, and no bit moves inside.
+    negative counts as 0, and so does d^T d when it rounds to 0.  With p
+    and delta scaled by a and d by b, the root is tau a / b, so a delta
+    and a ||d|| outside 2^-100..2^100 are each scaled into it by an exact
+    power of two first (a, b = 1 inside, where no bit moves): no product
+    below under- or overflows, even for a subnormal delta.
     """
-    scale = _exponent_clamp(delta, 100)
-    pp, pd, dd, delta = pp * scale * scale, pd * scale * scale, dd * scale * scale, delta * scale
+    a, b = _exponent_clamp(delta, 100), _exponent_clamp(math.sqrt(dd), 100)
+    pp, pd, dd, delta = pp * a * a, pd * a * b, dd * b * b, delta * a
     rest = max(delta**2 - pp, 0.0)
     disc = math.sqrt(pd**2 + dd * rest)
     if pd >= 0.0:
-        return rest / (pd + disc) if (pd + disc) > 0.0 else 0.0
-    return (disc - pd) / dd if dd > 0.0 else 0.0
+        tau = rest / (pd + disc) if (pd + disc) > 0.0 else 0.0
+    else:
+        tau = (disc - pd) / dd if dd > 0.0 else 0.0
+    return tau * b / a
 
 
 def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:

@@ -260,31 +260,76 @@ class TestMssSolve:
             assert abs(np.linalg.norm(result.p) - 1.0) <= 4.0 * EPS
 
     def test_breakdown_returns_sigma_that_p_solves(self, rng, monkeypatch):
-        # The recursion fails while preparing the second shift: the result
-        # must pair the last p with the sigma it was solved at, not with the
-        # Newton step that could not be prepared.
-        import trbench.subproblem as subproblem_mod
-
-        real_prepare = subproblem_mod.shifted_prepare
-        calls = []
-
-        def failing_prepare(mem, sigma):
-            calls.append(sigma)
-            if len(calls) == 2:
-                raise NumericalBreakdownError("synthetic recursion failure")
-            return real_prepare(mem, sigma)
-
-        monkeypatch.setattr(subproblem_mod, "shifted_prepare", failing_prepare)
+        # The second Newton step fails: its shift cannot be prepared, phi'
+        # vanishes, or the step leaves [0, inf).  The result must pair the
+        # last p with the sigma it was solved at, the first step's, not with
+        # the step that failed.
+        real_update = subproblem.newton_sigma_update
         mem, sp = boundary_instance(rng, 30, 5)
-        result = mss_solve(mem, sp)
-        assert result.status == BREAKDOWN
-        assert len(calls) == 2
-        assert result.sigma == calls[0]
-        report = check_optimality(mem, result, sp, tol=1e-10)
-        assert report.residual <= 1e-10
-        p = result.p
-        dense = float(-(sp.g @ p) - 0.5 * (p @ mem.materialize_dense() @ p))
-        assert result.model_reduction == pytest.approx(dense, rel=1e-10)
+        dense_b = mem.materialize_dense()
+
+        def second_call_fails(real, failure):
+            calls = []
+
+            def patched(*args):
+                calls.append(args)
+                if len(calls) == 1:
+                    return real(*args)
+                if isinstance(failure, Exception):
+                    raise failure
+                return failure
+
+            return patched
+
+        for target, failure in [
+            ("shifted_prepare", NumericalBreakdownError("synthetic recursion failure")),
+            ("newton_sigma_update", DegenerateDerivativeError("synthetic zero slope")),
+            ("newton_sigma_update", -1.0),
+            ("newton_sigma_update", math.nan),
+            ("newton_sigma_update", math.inf),
+        ]:
+            steps = []
+
+            def update(*args):
+                steps.append(real_update(*args))
+                return steps[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(subproblem, "newton_sigma_update", update)
+                patch.setattr(subproblem, target, second_call_fails(getattr(subproblem, target), failure))
+                result = mss_solve(mem, sp)
+            assert result.status == BREAKDOWN
+            assert result.inner_iterations == 2
+            assert result.sigma == steps[0] > 0.0
+            report = check_optimality(mem, result, sp, tol=1e-10)
+            assert report.residual <= 1e-10
+            p = result.p
+            dense = float(-(sp.g @ p) - 0.5 * (p @ dense_b @ p))
+            assert result.model_reduction == pytest.approx(dense, rel=1e-10)
+
+    def test_step_is_formed_once_per_solve(self, monkeypatch):
+        # Newton iterates live in Gram space; p is formed in n-space once,
+        # at exit, on interior and boundary solves alike (criterion 2's mix).
+        calls = []
+        real_frame_step = subproblem.frame_step
+
+        def frame_step(*args):
+            calls.append(args)
+            return real_frame_step(*args)
+
+        monkeypatch.setattr(subproblem, "frame_step", frame_step)
+        rng = np.random.default_rng(202)
+        statuses = []
+        for i in range(300):
+            n = int(rng.integers(10, 101))
+            mem = random_memory(rng, n, int(rng.integers(0, 8)))
+            delta = (1e-3, 1.0, 1e3)[i % 3]
+            g = rng.standard_normal(n)
+            g *= delta * (0.2 if i % 5 == 0 else float(rng.uniform(5.0, 50.0))) / np.linalg.norm(g)
+            calls.clear()
+            statuses.append(mss_solve(mem, Subproblem(g=g, delta=delta)).status)
+            assert len(calls) == 1
+        assert statuses.count(INTERIOR) >= 50 and statuses.count(BOUNDARY) >= 200
 
 
 class TestSteihaug:
@@ -563,6 +608,19 @@ def test_boundary_step_with_negative_pd_lands_on_sphere():
         assert tau > 0.0
         worst = max(worst, abs(np.linalg.norm(p + tau * d) - delta) / delta)
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("delta", [1e-185, 1e-250, 1e-300, 1e-320])
+def test_boundary_step_reaches_sphere_at_tiny_radius(delta):
+    # d does not shrink with delta: scaling d^T d by delta's factor once
+    # overflowed it below delta = 1e-184, and steihaug returned p = 0.
+    cases = [(PairMemory(10, 3), np.ones(10)),
+             (random_memory(np.random.default_rng(3), 20, 3), np.random.default_rng(4).standard_normal(20))]
+    for mem, g in cases:
+        result = steihaug_solve(mem, Subproblem(g=g / np.linalg.norm(g), delta=delta))
+        assert result.status == BOUNDARY
+        # abs=0.0: approx's default absolute tolerance passes any two tiny numbers.
+        assert result.p_norm == pytest.approx(delta, rel=4.0 * EPS, abs=0.0)
 
 
 def test_wrong_length_vector_rejected_with_its_shape(rng):
