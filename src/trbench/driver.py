@@ -66,7 +66,8 @@ class TrConfig:
     solver: str = "mss"
 
     def __post_init__(self):
-        if not isinstance(self.memory, numbers.Integral) or self.memory < 1:
+        if (not isinstance(self.memory, numbers.Integral) or isinstance(self.memory, bool)
+                or self.memory < 1):
             raise ValueError(f"memory must be an integer >= 1, got {self.memory!r}")
         if not 0.0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")

@@ -24,8 +24,9 @@ package: the build of C itself, ``B v``, the shifted recursion's r_k and
 its kernel products, and both solvers' Gram-space iterations.
 
 Costs: two O(M n) matrix-vector passes, P s and P y over the updated
-panel, to refresh G per accepted pair; O(M^3) to build C and K_H (no
-n-length work); O(M n) per product.  P y is also the step from P g to
+panel, to refresh G per accepted pair; O(M^3) per factor, C (with w) or
+K_H, built from G on its first read after a mutation (no n-length
+work); O(M n) per product.  P y is also the step from P g to
 P g_trial = P (g + y) for the driver's next solve
 (:meth:`PairMemory.carry`), so an accepted step whose pair was stored
 needs no fresh pass u = P g_trial.  The product carries its rounding
@@ -35,6 +36,7 @@ bound, and ``carry`` declines once it passes CARRY_BOUND ||g_trial||.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +88,13 @@ class AbVectors:
     ``rows`` (2m x 2m) holds b_0, a_0, b_1, a_1, ... (oldest pair first,
     the fold order of the shifted recursion) over the rows of
     :attr:`PairMemory.panel`: b_i = rows[2i] @ panel, a_i = rows[2i + 1]
-    @ panel.  ``weights`` (+1, -1, ...) are their signs in B, and ``k_h``
-    is the kernel of the inverse product.
+    @ panel.  ``weights`` (+1, -1, ...) are their signs in B.  Both are
+    read-only.  The inverse product's kernel K_H is a separate factor,
+    :meth:`PairMemory.inverse_kernel`.
     """
 
     rows: np.ndarray
     weights: np.ndarray
-    k_h: np.ndarray
 
 
 class PairMemory:
@@ -108,15 +110,19 @@ class PairMemory:
 
     Slot j occupies panel rows 2j (s) and 2j + 1 (y).  Slots fill in
     order and then wrap, so the stored pairs always occupy the leading
-    2m rows.  All operations except ``try_update`` are read-only; the
-    factors are cached and rebuilt lazily after any mutation.
+    2m rows.  All operations except ``try_update`` are read-only.  Each
+    factor, the a/b rows (:meth:`ab_vectors`) and K_H
+    (:meth:`inverse_kernel`), is built on its first read after a mutation
+    and cached until the next one, so a solver pays only for the factor it
+    reads.
     """
 
     def __init__(self, n: int, capacity: int = 5):
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        for name, size in (("dimension", n), ("capacity", capacity)):
+            if not isinstance(size, numbers.Integral) or isinstance(size, bool):
+                raise ValueError(f"{name} must be an integer, got {size!r}")
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size}")
         self.n = n
         self.capacity = capacity
         self._panel = np.zeros((2 * capacity, n))
@@ -125,6 +131,7 @@ class PairMemory:
         self._head = 0  # slot of the oldest pair
         self._gamma = 1.0
         self._ab: AbVectors | None = None
+        self._k_h: np.ndarray | None = None
         self._version = 0
 
     @property
@@ -213,7 +220,7 @@ class PairMemory:
         # The gate's s^T y, so y_s matches it and G stays exactly symmetric.
         self._gram[s_row, y_row] = self._gram[y_row, s_row] = sy
         self._gamma = max(SQRT_EPS, sy / float(self._gram[y_row, y_row]))
-        self._ab = None
+        self._ab = self._k_h = None
         self._version += 1
         return True
 
@@ -248,11 +255,10 @@ class PairMemory:
         return PanelProduct(u, self._version, error)
 
     def inv_multiply(self, z) -> np.ndarray:
-        """Return B^{-1} z from the compact inverse with B0^{-1} = gamma I."""
+        """Return B^{-1} z = gamma z + P^T K_H (P z), K_H from :meth:`inverse_kernel`."""
         z = self._check_dim(z, "z")
-        ab = self.ab_vectors()
         panel = self._panel[: 2 * self._m]
-        return self._gamma * z + panel.T @ (ab.k_h @ (panel @ z))
+        return self._gamma * z + panel.T @ (self.inverse_kernel() @ (panel @ z))
 
     def multiply(self, v) -> np.ndarray:
         """Return B v = v / gamma - sum a_i (a_i^T v) + sum b_i (b_i^T v)."""
@@ -262,7 +268,7 @@ class PairMemory:
         return (1.0 / self._gamma) * v + panel.T @ fold(ab.rows, ab.weights, panel @ v)
 
     def ab_vectors(self) -> AbVectors:
-        """Return the cached factors, rebuilding after any mutation.
+        """Return the a/b rows and weights, built on the first read after a mutation.
 
         Raises NumericalBreakdownError when some s_i^T B_i s_i is not
         positive, which signals loss of positive definiteness despite the
@@ -272,15 +278,22 @@ class PairMemory:
             self._ab = self._build_ab()
         return self._ab
 
+    def inverse_kernel(self) -> np.ndarray:
+        """Return K_H of B^{-1} = gamma I + P^T K_H P, built on the first read after a mutation.
+
+        The (2m, 2m) array is read-only and indexed like the panel rows.
+        """
+        if self._k_h is None:
+            self._k_h = self._build_k_h()
+        return self._k_h
+
     def _build_ab(self) -> AbVectors:
         m, k = self._m, 2 * self._m
         gram = self._gram[:k, :k]
-        s_rows = np.array([2 * j for j in self._slots()], dtype=int)
-        y_rows = s_rows + 1
-        y_s = gram[s_rows, y_rows]
         rows = np.zeros((k, k))
         weights = np.tile([1.0, -1.0], m)
-        for i, (si, yi) in enumerate(zip(s_rows, y_rows)):
+        for i, j in enumerate(self._slots()):
+            si, yi = 2 * j, 2 * j + 1
             # Coefficients of B_i s_i, with every inner product read from G.
             bs = fold(rows[: 2 * i], weights[: 2 * i], gram[:, si])
             bs[si] += 1.0 / self._gamma
@@ -289,18 +302,33 @@ class PairMemory:
                 raise NumericalBreakdownError(
                     f"s^T B s = {sbs:.3e} for pair {i}; B lost positive definiteness"
                 )
-            rows[2 * i, yi] = 1.0 / math.sqrt(y_s[i])  # b_i
+            rows[2 * i, yi] = 1.0 / math.sqrt(gram[si, yi])  # b_i
             rows[2 * i + 1] = bs / math.sqrt(sbs)  # a_i
+        rows.flags.writeable = weights.flags.writeable = False
+        return AbVectors(rows=rows, weights=weights)
 
-        # Compact inverse (Byrd, Nocedal & Schnabel 1994, eq. 2.6) with
-        # R = triu(S^T Y) and D = diag(S^T Y), both oldest pair first.
-        k_h = np.zeros((k, k))
-        r_inv = np.linalg.inv(np.triu(gram[np.ix_(s_rows, y_rows)]))
-        yy = gram[np.ix_(y_rows, y_rows)]
-        k_h[np.ix_(s_rows, s_rows)] = r_inv.T @ (np.diag(y_s) + self._gamma * yy) @ r_inv
-        k_h[np.ix_(s_rows, y_rows)] = -self._gamma * r_inv.T
-        k_h[np.ix_(y_rows, s_rows)] = -self._gamma * r_inv
-        return AbVectors(rows=rows, weights=weights, k_h=k_h)
+    def _build_k_h(self) -> np.ndarray:
+        """The compact inverse (Byrd, Nocedal & Schnabel 1994, eq. 2.6).
+
+        With R = triu(S^T Y) and D = diag(S^T Y), both oldest pair first,
+        K_H = [[R^-T (D + gamma Y^T Y) R^-1, -gamma R^-T], [-gamma R^-1, 0]]
+        over (S, Y).  G is gathered once in that order and the blocks are
+        scattered once back to the panel's rows.
+        """
+        m, slots = self._m, self._slots()
+        panel_rows = [2 * j for j in slots] + [2 * j + 1 for j in slots]  # S, then Y
+        order = np.ix_(panel_rows, panel_rows)
+        gram = self._gram[order]
+        sy, yy = gram[:m, m:], gram[m:, m:]
+        r_inv = np.linalg.inv(np.triu(sy))
+        blocks = np.zeros((2 * m, 2 * m))
+        blocks[:m, :m] = r_inv.T @ (np.diag(np.diag(sy)) + self._gamma * yy) @ r_inv
+        blocks[:m, m:] = -self._gamma * r_inv.T
+        blocks[m:, :m] = -self._gamma * r_inv
+        k_h = np.empty_like(blocks)
+        k_h[order] = blocks  # order is a permutation of the 2m rows
+        k_h.flags.writeable = False
+        return k_h
 
     def materialize_dense(self) -> np.ndarray:
         """Form B explicitly.  Test oracle, small n only.

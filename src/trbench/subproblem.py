@@ -259,9 +259,10 @@ def gram_iterate(mem: PairMemory, f: np.ndarray, sigma: float) -> GramIterate:
     """Solve (B + sigma I) p = -g in Gram space, given the frame's Gram matrix f.
 
     (B + sigma I)^{-1} = base I + P^T K P: at sigma = 0, base = gamma and
-    K is the compact inverse's K_H; at sigma > 0 both come from
-    ``shifted_prepare(mem, sigma)``, and ``shifted_apply`` applies K
-    through its factors, twice per call.  With u = P g, p has the
+    K is the compact inverse's K_H (``mem.inverse_kernel()``, so an mss
+    solve that ends interior never builds the a/b rows); at sigma > 0 both
+    come from ``shifted_prepare(mem, sigma)``, and ``shifted_apply``
+    applies K through its factors, twice per call.  With u = P g, p has the
     coordinates x = -[base; K u], so
 
         ||p||^2 = x^T F x,  q = P p = (F x)[1:],
@@ -272,7 +273,7 @@ def gram_iterate(mem: PairMemory, f: np.ndarray, sigma: float) -> GramIterate:
     """
     if sigma == 0.0:
         base = mem.gamma
-        kernel = functools.partial(np.matmul, mem.ab_vectors().k_h)
+        kernel = functools.partial(np.matmul, mem.inverse_kernel())
     else:
         state = shifted_prepare(mem, sigma)
         base = state.base

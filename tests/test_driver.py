@@ -278,6 +278,46 @@ class TestMinimize:
         assert len(seen) == result.accepted_steps + result.rejected_steps
         assert all(seen)
 
+    def test_factors_built_only_for_their_readers(self, monkeypatch):
+        # Each factor is built on its first read after an accepted pair:
+        # steihaug reads only the a/b rows, an mss solve that ends interior
+        # only K_H, and no factor is built twice at one memory version.
+        builds = []
+        for name in ("_build_ab", "_build_k_h"):
+            build = getattr(PairMemory, name)
+
+            def spy(mem, build=build, name=name):
+                builds.append((name, mem, mem.version))  # holds mem, so no id is reused
+                return build(mem)
+
+            monkeypatch.setattr(PairMemory, name, spy)
+        interior_builds = []
+        for solver in ("mss", "steihaug"):
+            solve = getattr(driver, f"{solver}_solve")
+
+            def traced(mem, sp, solve=solve):
+                start = len(builds)
+                result = solve(mem, sp)
+                if result.status == INTERIOR:
+                    interior_builds.extend(builds[start:])
+                return result
+
+            monkeypatch.setattr(driver, f"{solver}_solve", traced)
+        for solver in ("mss", "steihaug"):
+            builds.clear()
+            interior_builds.clear()
+            for name in ("tridia", "srosenbr"):
+                minimize(make(name, 60), TrConfig(solver=solver))
+            assert max(version for _, _, version in builds) > TrConfig().memory  # the ring wraps
+            kinds = {name for name, _, _ in builds}
+            if solver == "steihaug":
+                assert kinds == {"_build_ab"}
+            else:
+                assert kinds == {"_build_ab", "_build_k_h"}
+                assert len(set(builds)) == len(builds)
+                assert interior_builds
+                assert all(name == "_build_k_h" for name, _, _ in interior_builds)
+
     def test_radius_too_small_exit(self):
         # Constant f with nonzero reported gradient: every step is rejected
         # and the radius halves from DELTA0 = 1 to the floor MIN_DELTA = 1e-13.
@@ -326,8 +366,9 @@ class TestTrConfig:
             TrConfig(solver="dogleg")
         with pytest.raises(ValueError):
             TrConfig(memory=0)
-        with pytest.raises(ValueError, match="integer"):
-            TrConfig(memory=2.5)
+        for memory in (2.5, True):
+            with pytest.raises(ValueError, match="integer"):
+                TrConfig(memory=memory)
         assert TrConfig(memory=np.int64(3)).memory == 3
         for tau in (math.nan, math.inf, 0.0, -1e-6):
             with pytest.raises(ValueError, match="tau"):

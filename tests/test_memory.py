@@ -191,11 +191,16 @@ class TestAbVectors:
 
     def test_cache_invalidated_by_update(self, rng):
         mem = random_memory(rng, 6, 2)
-        first = mem.ab_vectors()
+        first, first_k_h = mem.ab_vectors(), mem.inverse_kernel()
         assert mem.ab_vectors() is first  # cached while unchanged
+        assert mem.inverse_kernel() is first_k_h
         s = rng.standard_normal(6)
         assert mem.try_update(s, s)
         assert mem.ab_vectors() is not first
+        k_h = mem.inverse_kernel()
+        assert k_h is not first_k_h
+        assert not mem.try_update(s, -s)  # rejected: the memory is unchanged
+        assert mem.inverse_kernel() is k_h
 
     def test_breakdown_surfaces_as_error(self):
         # Valid pairs cannot produce s^T B s <= 0 exactly, so corrupt the
@@ -245,13 +250,15 @@ def test_oracle_equivalence_sweep(rng):
 
 
 def test_panel_and_gram_are_read_only(rng):
+    # The cached factors too: a write would change B at that version.
     mem = random_memory(rng, 6, 2)
+    ab = mem.ab_vectors()
     assert mem.panel.shape == (4, 6)
     assert mem.gram.shape == (4, 4)
-    with pytest.raises(ValueError):
-        mem.panel[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        mem.gram[0, 0] = 1.0
+    assert mem.inverse_kernel().shape == (4, 4)
+    for array in (mem.panel, mem.gram, ab.rows, ab.weights, mem.inverse_kernel()):
+        with pytest.raises(ValueError):
+            array[0] = 5.0
 
 
 def test_carry_matches_direct_product_through_wrap_around(rng):
@@ -310,3 +317,11 @@ def test_sizes_must_be_positive():
         PairMemory(0)
     with pytest.raises(ValueError, match="capacity"):
         PairMemory(3, capacity=0)
+    # Sizes are integers: a bool or a float is refused by name, not
+    # taken as 1 or left to fail inside numpy.
+    for n, capacity, name in [(4.0, 2, "dimension"), (True, 2, "dimension"),
+                              (4, 2.5, "capacity"), (4, True, "capacity")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PairMemory(n, capacity)
+    mem = PairMemory(np.int64(4), np.int64(3))
+    assert (mem.n, mem.capacity) == (4, 3)
