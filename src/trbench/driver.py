@@ -7,14 +7,14 @@ ratio, adjusts the radius, and offers the pair (s, y) = (p, g_trial - g)
 of every finite trial to the memory whether or not the step was accepted
 (the curvature gate alone decides storage).
 
-Cost per iteration at large n: the solver's pass P' x that forms p, and
-the memory's two passes P s and P y when it stores a pair.  The solver's
-pass u = P g is skipped when the driver can carry u from the previous
-iteration: after a rejected step that stored no pair (g and P are
-unchanged), and after an accepted step whose pair was stored, as
-P g_trial = P g + P y (:meth:`PairMemory.carry`).  The product holds its
-own rounding bound, and ``carry`` returns None once that bound is too
-large, so the next solve forms u afresh.
+Cost per iteration at large n: the solver's pass P' x that forms p (none
+for a step along g), and the memory's two passes P s and P y when it
+stores a pair.  The solver's pass u = P g is skipped when the driver can
+carry u from the previous iteration: after a rejected step that stored no
+pair (g and P are unchanged), and after an accepted step whose pair was
+stored, as P g_trial = P g + P y (:meth:`PairMemory.carry`).  The product
+holds its own rounding bound, and ``carry`` returns None once that bound
+is too large, so the next solve forms u afresh.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class TrConfig:
         if (not isinstance(self.memory, numbers.Integral) or isinstance(self.memory, bool)
                 or self.memory < 1):
             raise ValueError(f"memory must be an integer >= 1, got {self.memory!r}")
-        if not 0.0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if isinstance(self.tau, bool) or not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be a positive, finite number, got {self.tau!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
 

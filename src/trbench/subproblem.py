@@ -20,7 +20,8 @@ passes in as ``Subproblem.pg``; every inner product is then x^T F y.
 A Newton iteration (:func:`gram_iterate`) costs one O(M^3) recursion
 ``prepare`` plus O(M^2) work, a CG iteration (:func:`steihaug_solve`)
 O(M^2) with no product with B, and neither does n-length work.
-:func:`frame_step` forms p once, at exit, with one pass P^T x.
+:func:`frame_step` forms p once, at exit, with one pass P^T x, and none
+for a step along g (x[1:] all zero), as steihaug's first iterate is.
 
 :func:`dense_reference_solve` (eigendecomposition plus bisection) and
 :func:`check_optimality` exist for verification at desk scale.
@@ -207,8 +208,13 @@ def frame(mem: PairMemory, sp: Subproblem) -> np.ndarray:
 
 
 def frame_step(mem: PairMemory, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Form p = x[0] g + P^T x[1:] in n-space: one pass over the panel, none with no pairs."""
-    if mem.m == 0:
+    """Form p = x[0] g + P^T x[1:] in n-space: one pass over the panel, none along g.
+
+    With x[1:] all +-0 (always so with no pairs) p is x[0] g, whose entry
+    for g_i = 0 may be -0.0 where the pass adds +0.0: compare such steps
+    with ``assert_array_equal``, which treats both zeros alike.
+    """
+    if not x[1:].any():
         return x[0] * g
     return x[0] * g + np.dot(mem.panel.T, x[1:])
 
@@ -388,7 +394,8 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
     c x + [0; fold(C, w, (F x)[1:])] for the memory's coefficient rows C,
     weights w and c = 1/gamma.  A solve makes one O(M n) pass u = P g
     (none when ``sp.pg`` gives u), O(M^2) work per CG iteration with no
-    n-length work, and one pass P^T x at exit to form p.  Squared norms
+    n-length work, and one pass P^T x at exit to form p, none when CG
+    stops in its first iteration, whose step lies along g.  Squared norms
     read from F are clamped at 0, as in :func:`gram_iterate`.  No product
     with B is made: the model value g^T p + 0.5 p^T B p is advanced along
     each step t d from r^T d and the curvature d^T B d already at hand.
@@ -508,7 +515,8 @@ def check_optimality(
     Measures the stationarity residual ||B p + sigma p + g|| / ||g||, the
     complementarity |sigma * (delta - ||p||)| and the feasibility excess
     ||p|| - delta (1 + TAU_MS), TAU_MS being mss's default boundary
-    tolerance.  Passing requires residual <= tol,
+    tolerance, with ||p|| taken by :func:`_norm` as the solvers take it (a
+    plain norm can read 0 below 2^-511).  Passing requires residual <= tol,
     complementarity <= tol * max(1, sigma*delta) and no feasibility excess.
     """
     p = result.p
@@ -516,7 +524,7 @@ def check_optimality(
     g = sp.g
     delta = sp.delta
     gnorm = float(np.linalg.norm(g))
-    p_norm = float(np.linalg.norm(p))
+    p_norm = _norm(p)
     residual = float(np.linalg.norm(mem.multiply(p) + sigma * p + g))
     residual /= gnorm if gnorm > 0.0 else 1.0
     complementarity = abs(sigma * (delta - p_norm))

@@ -370,6 +370,6 @@ class TestTrConfig:
             with pytest.raises(ValueError, match="integer"):
                 TrConfig(memory=memory)
         assert TrConfig(memory=np.int64(3)).memory == 3
-        for tau in (math.nan, math.inf, 0.0, -1e-6):
+        for tau in (math.nan, math.inf, 0.0, -1e-6, True):
             with pytest.raises(ValueError, match="tau"):
                 TrConfig(tau=tau)

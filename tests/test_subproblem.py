@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,6 +125,62 @@ class TestNewtonSigmaUpdate:
             p_norm = float(np.linalg.norm(p))
             want = sigma + (p_norm**2 / float(q @ q)) * (p_norm - delta) / delta
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestFrameStep:
+    def test_step_along_g_reads_no_panel(self, rng):
+        # x[1:] all +-0 is a step along g: x[0] g exactly, with no pass
+        # over the panel.  Where g_i = 0 the entry keeps x[0] g_i = -0.0.
+        mem = random_memory(rng, 30, 4)
+        g = rng.standard_normal(30)
+        g[3] = 0.0
+        for tail in (np.zeros(8), -np.zeros(8), np.array([0.0, -0.0] * 4)):
+            x = np.concatenate(([-0.7], tail))
+            with mock.patch.object(PairMemory, "panel", new_callable=mock.PropertyMock,
+                                   side_effect=AssertionError("frame_step read the panel")):
+                p = frame_step(mem, g, x)
+            assert p.tobytes() == (x[0] * g).tobytes()
+            assert math.copysign(1.0, p[3]) == -1.0
+            np.testing.assert_array_equal(p, x[0] * g + mem.panel.T @ x[1:])
+
+    def test_any_frame_coordinate_takes_the_pass(self, rng):
+        mem = random_memory(rng, 30, 4)
+        g = rng.standard_normal(30)
+        for i in range(1, 9):
+            for value in (rng.standard_normal(), 5e-324):
+                x = np.zeros(9)
+                x[0], x[i] = -0.7, value
+                want = x[0] * g + mem.panel.T @ x[1:]
+                assert frame_step(mem, g, x).tobytes() == want.tobytes()
+
+
+def test_panel_passes_per_solve(monkeypatch):
+    # Criterion 5's draws.  steihaug's first-iterate exits step along g, so
+    # they read the panel once, for u = P g, and not at all when pg gives
+    # u; every other solve of either solver reads it at most once for u
+    # and once for p.
+    reads = []
+    panel = PairMemory.panel
+    monkeypatch.setattr(PairMemory, "panel", property(lambda mem: reads.append(mem) or panel.fget(mem)))
+    rng = np.random.default_rng(505)
+    along_g = 0
+    for _ in range(100):
+        n = int(rng.integers(5, 60))
+        mem = random_memory(rng, n, int(rng.integers(0, 7)))
+        g = rng.standard_normal(n)
+        g *= float(rng.uniform(0.1, 20.0)) / np.linalg.norm(g)
+        delta = float(rng.uniform(0.05, 5.0))
+        pg = PanelProduct(panel.fget(mem) @ g, mem.version, float(np.linalg.norm(g)))
+        for solve in (mss_solve, steihaug_solve):
+            for given in (None, pg):
+                reads.clear()
+                result = solve(mem, Subproblem(g=g, delta=delta, pg=given))
+                if solve is steihaug_solve and result.inner_iterations == 1:
+                    along_g += mem.m > 0
+                    assert len(reads) == (given is None)
+                else:
+                    assert len(reads) <= 1 + (given is None)
+    assert along_g >= 100
 
 
 class TestMssSolve:
@@ -409,8 +467,8 @@ class TestSteihaug:
         np.testing.assert_array_equal(result.p, np.zeros(3))
 
     def test_no_product_with_b(self, rng, monkeypatch):
-        # CG runs in Gram space: a solve reads the panel twice (P g and
-        # P^T x) and never calls the n-space product.
+        # CG runs in Gram space: a solve reads the panel at most twice
+        # (P g and P^T x) and never calls the n-space product.
         def refuse(self, v):
             raise AssertionError("steihaug_solve called PairMemory.multiply")
 
@@ -473,6 +531,25 @@ class TestCheckOptimality:
         mem, sp = boundary_instance(rng, 25, 5)
         result = mss_solve(mem, sp)
         assert check_optimality(mem, result, sp, tol=1e-6).passed
+
+    def test_tiny_step_norm_is_taken_as_the_solvers_take_it(self):
+        # Below about 1e-154 a plain ||p|| sums subnormal squares and can
+        # read 0.  steihaug's boundary exits lie on the sphere by _norm;
+        # with sigma = 1 put on each, complementarity and feasibility must
+        # read a p on the sphere.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(2, 41))
+            mem = random_memory(rng, n, int(rng.integers(1, 6)))
+            g = rng.standard_normal(n)
+            delta = 10.0 ** -rng.uniform(155, 300)
+            sp = Subproblem(g=g / np.linalg.norm(g), delta=delta)
+            result = steihaug_solve(mem, sp)
+            assert result.status == BOUNDARY
+            report = check_optimality(mem, dataclasses.replace(result, sigma=1.0), sp, tol=1e-6)
+            assert report.complementarity <= 4.0 * EPS * delta
+            # abs=0.0: approx's default absolute tolerance passes any two tiny numbers.
+            assert report.feasibility == pytest.approx(-subproblem.TAU_MS * delta, rel=1e-6, abs=0.0)
 
     def test_perturbed_step_fails(self, rng):
         mem, sp = boundary_instance(rng, 25, 5)
