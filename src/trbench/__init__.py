@@ -28,7 +28,6 @@ from .driver import (
 )
 from .errors import (
     CsvFormatError,
-    DegenerateDerivativeError,
     ModelInconsistencyError,
     NumericalBreakdownError,
 )
@@ -52,7 +51,6 @@ from .subproblem import (
     gram_iterate,
     mss_solve,
     newton_sigma_update,
-    phi,
     steihaug_solve,
 )
 
@@ -64,7 +62,6 @@ __all__ = [
     "BREAKDOWN",
     "CONVERGED",
     "CsvFormatError",
-    "DegenerateDerivativeError",
     "EPS",
     "FE_BUDGET_EXHAUSTED",
     "GramIterate",
@@ -99,7 +96,6 @@ __all__ = [
     "mss_solve",
     "newton_sigma_update",
     "performance_profile",
-    "phi",
     "prepare",
     "read_csv",
     "render_profile_svg",

@@ -5,10 +5,6 @@ class NumericalBreakdownError(ArithmeticError):
     """A recursion denominator lost positivity or fell under the guard."""
 
 
-class DegenerateDerivativeError(ArithmeticError):
-    """The Newton step for the boundary multiplier has zero derivative."""
-
-
 class ModelInconsistencyError(ArithmeticError):
     """Predicted model reduction is not positive; indicates a solver bug."""
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDerivativeError, NumericalBreakdownError
+from .errors import NumericalBreakdownError
 from .memory import EPS, SQRT_EPS, PairMemory, PanelProduct, fold
 from .shifted import apply as shifted_apply
 from .shifted import prepare as shifted_prepare
@@ -145,17 +145,6 @@ class OptimalityReport:
     passed: bool
 
 
-def phi(p_norm: float, delta: float) -> float:
-    """Pole function 1/p_norm - 1/delta whose root puts p on the boundary."""
-    p_norm = float(p_norm)
-    delta = float(delta)
-    if p_norm <= 0.0:
-        raise ValueError(f"p_norm must be positive, got {p_norm}")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return 1.0 / p_norm - 1.0 / delta
-
-
 def _exponent_clamp(x: float, bound: int) -> float:
     """The power of two that brings x's binary exponent into [-bound, bound], 1 inside."""
     exponent = math.frexp(float(x))[1]
@@ -165,23 +154,31 @@ def _exponent_clamp(x: float, bound: int) -> float:
 def newton_sigma_update(
     sigma: float, p_norm: float, curvature: float, delta: float
 ) -> float:
-    """One Newton step sigma - phi/phi' for the boundary multiplier.
+    """One Newton step sigma - phi/phi' on the pole function phi = 1/||p|| - 1/delta.
 
     ``curvature`` is p^T (B + sigma I)^{-1} p for the step p of norm
     ``p_norm`` solved at sigma, which makes phi'(sigma) = curvature /
-    ||p||^3 without any factorization.
+    ||p||^3 without any factorization.  A slope phi' of 0 (the curvature
+    underflows at tiny radii) gives an infinite step, math.inf, which
+    :func:`mss_solve` names a breakdown.  Raises ValueError unless
+    ``p_norm`` and ``delta`` are positive.
 
     phi/phi' is unchanged when ||p|| scales by 2^-k and curvature by
     2^-2k, and scaling by a power of two is exact, so an ||p|| outside
     2^-300..2^300 is scaled into it before it is cubed (k = 0, the plain
     formula, inside): the cube neither overflows nor underflows.
     """
-    value = phi(p_norm, delta)
+    p_norm = float(p_norm)
+    delta = float(delta)
+    if p_norm <= 0.0:
+        raise ValueError(f"p_norm must be positive, got {p_norm}")
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     scale = _exponent_clamp(p_norm, 300)
-    slope = float(curvature) * scale * scale / (float(p_norm) * scale) ** 3  # phi'/scale
+    slope = float(curvature) * scale * scale / (p_norm * scale) ** 3  # phi'/scale
     if slope == 0.0:
-        raise DegenerateDerivativeError("phi'(sigma) = 0")
-    return float(sigma) - value / slope / scale
+        return math.inf
+    return float(sigma) - (1.0 / p_norm - 1.0 / delta) / slope / scale
 
 
 def frame(mem: PairMemory, sp: Subproblem) -> np.ndarray:
@@ -310,7 +307,8 @@ def mss_solve(
     reads the Gram-space norm until that passes or cancels to zero; then
     p is formed (one pass P^T x) and the test reads p's n-space norm, and
     if that misses, Newton continues from it.  A Newton step outside
-    [0, inf), which cannot occur for SPD B, or a failed recursion is a
+    [0, inf), such as the infinite step of a slope phi' that underflows
+    to 0 (:func:`newton_sigma_update`), or a failed recursion is a
     breakdown.  No forward product with B is made: since
     (B + sigma I) p = -g holds for the returned pair, the model reduction
     is (sigma ||p||^2 - g^T p)/2, a sum of two nonnegative terms.
@@ -341,14 +339,14 @@ def mss_solve(
             break
         iterations += 1
         status = BREAKDOWN  # unless the Newton step is in range and solved
+        sigma_new = newton_sigma_update(it.sigma, p_norm, it.curvature, delta)
+        if not 0.0 <= sigma_new < math.inf:
+            break
         try:
-            sigma_new = newton_sigma_update(it.sigma, p_norm, it.curvature, delta)
-            if not 0.0 <= sigma_new < math.inf:
-                break
             # The iterate changes only once it is solved, so a breakdown
             # returns a pair (sigma, p) that solves the system.
             it = gram_iterate(mem, f, sigma_new)
-        except (NumericalBreakdownError, DegenerateDerivativeError):
+        except NumericalBreakdownError:
             break
         p, p_norm = None, it.p_norm
 
@@ -502,7 +500,7 @@ def dense_reference_solve(b_dense, g, delta: float) -> tuple[np.ndarray, float]:
             lo = sigma
         else:
             hi = sigma
-        if hi - lo <= EPS * max(1.0, sigma):
+        if hi - lo <= EPS * hi:
             break
     return -q @ (coeff / (lam + sigma)), sigma
 

@@ -11,7 +11,6 @@ from trbench import (
     EPS,
     INTERIOR,
     MAX_ITERATIONS,
-    DegenerateDerivativeError,
     MssOptions,
     NumericalBreakdownError,
     PairMemory,
@@ -24,7 +23,6 @@ from trbench import (
     gram_iterate,
     mss_solve,
     newton_sigma_update,
-    phi,
     steihaug_solve,
     subproblem,
 )
@@ -56,23 +54,6 @@ def boundary_instance(rng, n, m, delta=0.1, scale=10.0):
     return mem, Subproblem(g=g, delta=delta)
 
 
-class TestPhi:
-    def test_root_on_boundary(self):
-        assert phi(1.0, 1.0) == 0.0
-
-    def test_outside(self):
-        assert phi(2.0, 1.0) == pytest.approx(-0.5)
-
-    def test_inside(self):
-        assert phi(0.5, 1.0) == pytest.approx(1.0)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            phi(0.0, 1.0)
-        with pytest.raises(ValueError, match="delta"):
-            phi(1.0, 0.0)
-
-
 class TestNewtonSigmaUpdate:
     def test_hand_case_identity_model(self):
         # B = I (empty memory), g = 3 e1, sigma = 0: p = -3 e1, so
@@ -90,8 +71,14 @@ class TestNewtonSigmaUpdate:
         assert newton_sigma_update(3.5, 1.0, 1.0, 1.0) == 3.5  # ||p|| = delta: phi = 0
 
     def test_degenerate_derivative(self):
-        with pytest.raises(DegenerateDerivativeError):
-            newton_sigma_update(1.0, 1.0, 0.0, 1.0)
+        # A zero slope phi' is an infinite step, which mss names a breakdown.
+        assert newton_sigma_update(1.0, 1.0, 0.0, 1.0) == math.inf
+
+    def test_zero_norm_rejected(self):
+        with pytest.raises(ValueError):
+            newton_sigma_update(1.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="delta"):
+            newton_sigma_update(1.0, 1.0, 1.0, 0.0)
 
     def test_huge_norm_is_not_cubed(self):
         # B = I and g = 3e120 e1 at sigma = 0: ||p|| = 3e120, whose cube
@@ -318,10 +305,10 @@ class TestMssSolve:
             assert abs(np.linalg.norm(result.p) - 1.0) <= 4.0 * EPS
 
     def test_breakdown_returns_sigma_that_p_solves(self, rng, monkeypatch):
-        # The second Newton step fails: its shift cannot be prepared, phi'
-        # vanishes, or the step leaves [0, inf).  The result must pair the
-        # last p with the sigma it was solved at, the first step's, not with
-        # the step that failed.
+        # The second Newton step fails: its shift cannot be prepared, or
+        # the step leaves [0, inf), as the infinite step of a zero slope
+        # phi' does.  The result must pair the last p with the sigma it was
+        # solved at, the first step's, not with the step that failed.
         real_update = subproblem.newton_sigma_update
         mem, sp = boundary_instance(rng, 30, 5)
         dense_b = mem.materialize_dense()
@@ -341,7 +328,6 @@ class TestMssSolve:
 
         for target, failure in [
             ("shifted_prepare", NumericalBreakdownError("synthetic recursion failure")),
-            ("newton_sigma_update", DegenerateDerivativeError("synthetic zero slope")),
             ("newton_sigma_update", -1.0),
             ("newton_sigma_update", math.nan),
             ("newton_sigma_update", math.inf),
@@ -364,6 +350,24 @@ class TestMssSolve:
             p = result.p
             dense = float(-(sp.g @ p) - 0.5 * (p @ dense_b @ p))
             assert result.model_reduction == pytest.approx(dense, rel=1e-10)
+
+    def test_zero_slope_is_a_breakdown(self):
+        # With ||g|| = 1 and a tiny radius the curvature p^T (B + sigma I)^{-1} p,
+        # about delta^3, underflows to 0: phi' is 0, the Newton step is
+        # infinite, and mss ends "breakdown" with the last p solving
+        # (B + sigma I) p = -g at the reported sigma.
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            mem = random_memory(rng, int(rng.integers(2, 41)), int(rng.integers(1, 6)))
+            g = rng.standard_normal(mem.n)
+            g /= np.linalg.norm(g)
+            for delta in (1e-120, 1e-160, 1e-200, 1e-250):
+                sp = Subproblem(g=g, delta=delta)
+                result = mss_solve(mem, sp)
+                assert result.status == BREAKDOWN
+                it = gram_iterate(mem, frame(mem, sp), result.sigma)
+                assert newton_sigma_update(result.sigma, result.p_norm, it.curvature, delta) == math.inf
+                assert check_optimality(mem, result, sp, tol=1e-10).residual <= 1e-10
 
     def test_step_is_formed_once_per_solve(self, monkeypatch):
         # Newton iterates live in Gram space; p is formed in n-space once,
@@ -497,6 +501,18 @@ class TestDenseReference:
         p, sigma = dense_reference_solve(np.diag([1.0, 2.0]), np.array([3.0, 0.0]), 1.0)
         np.testing.assert_allclose(p, [-1.0, 0.0], atol=1e-9)
         assert sigma == pytest.approx(2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("b, g, delta", [
+        (np.array([[1e-30]]), np.array([1e-10]), 1e10),
+        (np.diag([1e-13, 2e-13]), np.array([1e-6, 1e-6]), 1e3),
+    ], ids=["scalar", "diagonal"])
+    def test_tiny_multiplier_meets_tolerance(self, b, g, delta):
+        # sigma is far below 1 (1e-20 and about 1.4e-9): bisection must
+        # stop on a width relative to sigma, not an absolute one.
+        p, sigma = dense_reference_solve(b, g, delta)
+        assert sigma > 0.0
+        assert abs(np.linalg.norm(p) - delta) <= subproblem.REFERENCE_TOL * delta
+        np.testing.assert_allclose((b + sigma * np.eye(g.size)) @ p, -g, rtol=1e-12)
 
     def test_interior(self):
         p, sigma = dense_reference_solve(np.eye(2), np.array([0.3, 0.4]), 1.0)
