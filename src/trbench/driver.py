@@ -8,8 +8,8 @@ of every finite trial to the memory whether or not the step was accepted
 (the curvature gate alone decides storage).
 
 Cost per iteration at large n: the solver's pass P' x that forms p (none
-for a step along g), and the memory's two passes P s and P y when it
-stores a pair.  The solver's pass u = P g is skipped when the driver can
+for a step along g), and the memory's one pass P [s y] when it stores
+a pair.  The solver's pass u = P g is skipped when the driver can
 carry u from the previous iteration: after a rejected step that stored no
 pair (g and P are unchanged), and after an accepted step whose pair was
 stored, as P g_trial = P g + P y (:meth:`PairMemory.carry`).  The product

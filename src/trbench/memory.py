@@ -23,8 +23,8 @@ coefficient rows r_k), serves every sum of rank-one terms in the
 package: the build of C itself, ``B v``, the shifted recursion's r_k and
 its kernel products, and both solvers' Gram-space iterations.
 
-Costs: two O(M n) matrix-vector passes, P s and P y over the updated
-panel, to refresh G per accepted pair; O(M^3) per factor, C (with w) or
+Costs: one O(M n) pass over the updated panel, P [s y] in column
+blocks, to refresh G per accepted pair; O(M^3) per factor, C (with w) or
 K_H, built from G on its first read after a mutation (no n-length
 work); O(M n) per product.  P y is also the step from P g to
 P g_trial = P (g + y) for the driver's next solve
@@ -50,8 +50,14 @@ SQRT_EPS = math.sqrt(EPS)
 # stands at ||g||.  Chosen for accuracy, not for evaluation counts:
 # unguarded, nondia at n = 1e5 (a gradient falling 1.7e4-fold in one
 # step) left the carried u off by 7.9e-9 ||row|| ||g||; with the bound
-# the worst over the n = 1e5 grid is 5.9e-12.
+# the worst handed to a solve over the n = 1e5 grid is 1.0e-11.
 CARRY_BOUND = 64.0
+# try_update sums a new pair's Gram columns P [s y] over blocks of this
+# many panel columns: one pass over the panel.  Xeon, 2 MiB L2 per core,
+# one BLAS thread, n = 1e5, 2m = 10: 0.43 ms, against 0.76 ms for two
+# matrix-vector passes and 1.10 ms unblocked.  8192 keeps a 2m = 20 block
+# (1.3 MiB) in L2; at 32768 it spilled and doubled (BENCH_gram_column.json).
+GRAM_BLOCK = 8192
 
 
 def fold(rows, weights, v) -> np.ndarray:
@@ -186,12 +192,13 @@ class PairMemory:
         """Offer a new pair; store it only if the curvature gate passes.
 
         Returns True iff sqrt(eps) < s^T y < 1/sqrt(eps) and s^T s and
-        y^T y are finite.  On acceptance the pair overwrites the oldest
-        slot when full, its Gram rows are refreshed from the products P s
-        and P y with the updated panel (two matrix-vector passes: OpenBLAS
-        runs them faster than one product with the two columns [s y]), and
-        gamma is recomputed from the new pair.  On rejection the memory is
-        untouched.
+        y^T y are finite.  All three are tested before anything is
+        written, so on rejection the memory is untouched.  On acceptance
+        the pair overwrites the oldest slot when full, and its two Gram
+        columns P [s y] over the updated panel are summed in blocks of
+        GRAM_BLOCK columns, one pass over the panel.  The slot's own 2x2
+        block takes the three tested dots, so each is formed once and G
+        stays exactly symmetric; gamma is recomputed from them.
         """
         s = self._check_dim(s_plus, "s_plus")
         y = self._check_dim(y_plus, "y_plus")
@@ -202,24 +209,26 @@ class PairMemory:
         # By Cauchy-Schwarz each new Gram entry is at most the larger of
         # two squared row norms, so finite s^T s and y^T y keep G finite.
         with np.errstate(over="ignore"):
-            if not (math.isfinite(s @ s) and math.isfinite(y @ y)):
-                return False
+            ss, yy = float(s @ s), float(y @ y)
+        if not (math.isfinite(ss) and math.isfinite(yy)):
+            return False
         if self._m < self.capacity:
             slot = self._m
             self._m += 1
         else:
             slot = self._head
             self._head = (slot + 1) % self.capacity
-        s_row, y_row = 2 * slot, 2 * slot + 1
-        self._panel[s_row] = s
-        self._panel[y_row] = y
+        rows = slice(2 * slot, 2 * slot + 2)  # s, then y
+        pair = self._panel[rows]
+        pair[0], pair[1] = s, y
         k = 2 * self._m
-        panel = self._panel[:k]
-        for row, v in ((s_row, s), (y_row, y)):
-            self._gram[:k, row] = self._gram[row, :k] = panel @ v
-        # The gate's s^T y, so y_s matches it and G stays exactly symmetric.
-        self._gram[s_row, y_row] = self._gram[y_row, s_row] = sy
-        self._gamma = max(SQRT_EPS, sy / float(self._gram[y_row, y_row]))
+        column = np.zeros((k, 2))
+        for a in range(0, self.n, GRAM_BLOCK):
+            column += self._panel[:k, a : a + GRAM_BLOCK] @ pair[:, a : a + GRAM_BLOCK].T
+        self._gram[:k, rows] = column
+        self._gram[rows, :k] = column.T
+        self._gram[rows, rows] = ((ss, sy), (sy, yy))
+        self._gamma = max(SQRT_EPS, sy / yy)
         self._ab = self._k_h = None
         self._version += 1
         return True

@@ -5,7 +5,7 @@ import pytest
 
 from trbench import EPS, SQRT_EPS, NumericalBreakdownError, PairMemory, PanelProduct
 from trbench.diagnostics import random_memory
-from trbench.memory import CARRY_BOUND
+from trbench.memory import CARRY_BOUND, GRAM_BLOCK
 
 from conftest import dense_bfgs
 
@@ -46,18 +46,21 @@ class TestTryUpdate:
             mem.try_update(np.ones(3), np.ones(4))
 
     def test_overflowing_gram_entry_rejected(self, rng):
-        # s^T y = 4.8e4 passes the gate, but y^T y overflows: the pair is
-        # refused before it overwrites the oldest slot of the full memory,
-        # so G never holds inf.
+        # Each pair passes the gate but overflows one squared norm:
+        # s^T y = 4.8e4 with y^T y = inf, then s^T y = 1 with
+        # s^T s = 1e320.  Both are refused before the Gram column pass
+        # writes a block of the oldest slot of the full memory, so G never
+        # holds inf.
         mem = random_memory(rng, 4, 2)
         before = (mem.m, mem.version, mem.gamma)
         panel, gram = mem.panel.copy(), mem.gram.copy()
         g = 6e153 * np.ones(4)
         assert math.isfinite(float(g @ g))
-        assert not mem.try_update(-1e-150 * np.ones(4), -g - g)
-        assert (mem.m, mem.version, mem.gamma) == before
-        np.testing.assert_array_equal(mem.panel, panel)
-        np.testing.assert_array_equal(mem.gram, gram)
+        for s, y in [(-1e-150 * np.ones(4), -g - g), (1e160 * e(0, 4), 1e-160 * e(0, 4))]:
+            assert not mem.try_update(s, y)
+            assert (mem.m, mem.version, mem.gamma) == before
+            np.testing.assert_array_equal(mem.panel, panel)
+            np.testing.assert_array_equal(mem.gram, gram)
 
     def test_gamma_thresholded_from_below(self):
         mem = PairMemory(2)
@@ -259,6 +262,28 @@ def test_panel_and_gram_are_read_only(rng):
     for array in (mem.panel, mem.gram, ab.rows, ab.weights, mem.inverse_kernel()):
         with pytest.raises(ValueError):
             array[0] = 5.0
+
+
+def test_gram_column_pass_spans_blocks_through_wrap_around(rng):
+    # n = 2 GRAM_BLOCK + 3: the column pass takes two full blocks and a
+    # partial one, and 7 pairs into capacity 3 wrap the ring twice.
+    n, capacity = 2 * GRAM_BLOCK + 3, 3
+    mem = PairMemory(n, capacity=capacity)
+    # Any summation order of a length-n dot product lies within
+    # gamma_n |p_i|.|p_j| of the exact value (Higham 2002, eq. 3.5), so
+    # two such orders differ by at most twice that.
+    gamma_n = n * EPS / (1.0 - n * EPS)
+    for count in range(7):
+        s = rng.standard_normal(n)
+        y = s + 0.1 * rng.standard_normal(n)
+        assert mem.try_update(s, y)
+        gram, panel = mem.gram, mem.panel
+        np.testing.assert_array_equal(gram, gram.T)
+        rows = slice(2 * (count % capacity), 2 * (count % capacity) + 2)
+        np.testing.assert_array_equal(gram[rows, rows], [[s @ s, s @ y], [s @ y, y @ y]])
+        bound = 2.0 * gamma_n * (np.abs(panel) @ np.abs(panel).T)
+        np.testing.assert_array_less(np.abs(gram - panel @ panel.T), bound)
+    assert mem.m == capacity
 
 
 def test_carry_matches_direct_product_through_wrap_around(rng):
