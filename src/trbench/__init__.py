@@ -31,9 +31,9 @@ from .errors import (
     ModelInconsistencyError,
     NumericalBreakdownError,
 )
-from .memory import EPS, SQRT_EPS, AbVectors, PairMemory, PanelProduct
+from .memory import EPS, SQRT_EPS, FoldedOperator, PairMemory, PanelProduct
 from .problems import PROBLEM_NAMES, ProblemInstance, fd_gradient_check, make
-from .shifted import ShiftedRecursionState, apply, prepare
+from .shifted import apply, prepare
 from .subproblem import (
     BOUNDARY,
     BREAKDOWN,
@@ -57,13 +57,13 @@ from .subproblem import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbVectors",
     "BOUNDARY",
     "BREAKDOWN",
     "CONVERGED",
     "CsvFormatError",
     "EPS",
     "FE_BUDGET_EXHAUSTED",
+    "FoldedOperator",
     "GramIterate",
     "INTERIOR",
     "MAX_ITERATIONS",
@@ -79,7 +79,6 @@ __all__ = [
     "RADIUS_TOO_SMALL",
     "RunRecord",
     "SQRT_EPS",
-    "ShiftedRecursionState",
     "Subproblem",
     "SubproblemResult",
     "TrConfig",

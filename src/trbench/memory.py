@@ -12,22 +12,23 @@ where B_i is the matrix after the first i updates.
 The pairs live in one ring-buffered panel P whose rows are s and y of
 each slot, next to its Gram matrix G = P P^T.  Every a_i and b_i is a
 coefficient row over P (a row of C, with weight w = +1 for b_i and -1
-for a_i), so both products take the compact form of Byrd, Nocedal &
-Schnabel (1994):
+for a_i), so both products take a compact form in P:
 
     B v      = gamma^{-1} v + P^T C^T diag(w) C (P v),
-    B^{-1} v = gamma v      + P^T K_H (P v).
+    B^{-1} v = gamma v      + P^T K_H (P v),
 
+with K_H from the inverse BFGS update of Nocedal's (1980) two-loop recursion.
 One coefficient kernel, :func:`fold` (sum_k w_k (r_k . v) r_k over
 coefficient rows r_k), serves every sum of rank-one terms in the
 package: the build of C itself, ``B v``, the shifted recursion's r_k and
-its kernel products, and both solvers' Gram-space iterations.
+its kernel products, and both solvers' Gram-space iterations.  B and each
+shifted inverse are one type, :class:`FoldedOperator`.
 
 Costs: one O(M n) pass over the updated panel, P [s y] in column
-blocks, to refresh G per accepted pair; O(M^3) per factor, C (with w) or
-K_H, built from G on its first read after a mutation (no n-length
-work); O(M n) per product.  P y is also the step from P g to
-P g_trial = P (g + y) for the driver's next solve
+blocks, to refresh G per accepted pair (none for a lone pair); O(M^3)
+per factor, C (with w) or K_H, built from G on its first read after a
+mutation (no n-length work); O(M n) per product.  P y is also the step
+from P g to P g_trial = P (g + y) for the driver's next solve
 (:meth:`PairMemory.carry`), so an accepted step whose pair was stored
 needs no fresh pass u = P g_trial.  The product carries its rounding
 bound, and ``carry`` declines once it passes CARRY_BOUND ||g_trial||.
@@ -88,17 +89,18 @@ class PanelProduct:
 
 
 @dataclass(frozen=True)
-class AbVectors:
-    """The rank-one terms of a pair memory as coefficient rows over its panel.
+class FoldedOperator:
+    """The operator base I + P^T fold(rows, weights, P .) over a memory's panel P.
 
-    ``rows`` (2m x 2m) holds b_0, a_0, b_1, a_1, ... (oldest pair first,
-    the fold order of the shifted recursion) over the rows of
-    :attr:`PairMemory.panel`: b_i = rows[2i] @ panel, a_i = rows[2i + 1]
-    @ panel.  ``weights`` (+1, -1, ...) are their signs in B.  Both are
-    read-only.  The inverse product's kernel K_H is a separate factor,
-    :meth:`PairMemory.inverse_kernel`.
+    ``rows`` (2m x 2m) are coefficient rows over :attr:`PairMemory.panel`.
+    For B (:meth:`PairMemory.ab_vectors`, cached, so rows and weights are
+    read-only) base = 1/gamma and the rows are b_0, a_0, b_1, a_1, ...
+    (oldest pair first, the recursion's fold order) with weights +1, -1,
+    ...; for (B + sigma I)^{-1} (:func:`~trbench.shifted.prepare`) they
+    are r_k and (-1)^{k+1} v_k.
     """
 
+    base: float
     rows: np.ndarray
     weights: np.ndarray
 
@@ -136,7 +138,7 @@ class PairMemory:
         self._m = 0
         self._head = 0  # slot of the oldest pair
         self._gamma = 1.0
-        self._ab: AbVectors | None = None
+        self._ab: FoldedOperator | None = None
         self._k_h: np.ndarray | None = None
         self._version = 0
 
@@ -198,7 +200,8 @@ class PairMemory:
         columns P [s y] over the updated panel are summed in blocks of
         GRAM_BLOCK columns, one pass over the panel.  The slot's own 2x2
         block takes the three tested dots, so each is formed once and G
-        stays exactly symmetric; gamma is recomputed from them.
+        stays exactly symmetric; a lone pair's block is its whole column,
+        so it makes no pass.  gamma is recomputed from the dots.
         """
         s = self._check_dim(s_plus, "s_plus")
         y = self._check_dim(y_plus, "y_plus")
@@ -222,11 +225,12 @@ class PairMemory:
         pair = self._panel[rows]
         pair[0], pair[1] = s, y
         k = 2 * self._m
-        column = np.zeros((k, 2))
-        for a in range(0, self.n, GRAM_BLOCK):
-            column += self._panel[:k, a : a + GRAM_BLOCK] @ pair[:, a : a + GRAM_BLOCK].T
-        self._gram[:k, rows] = column
-        self._gram[rows, :k] = column.T
+        if k > 2:  # a lone pair's column is its own 2x2 block
+            column = np.zeros((k, 2))
+            for a in range(0, self.n, GRAM_BLOCK):
+                column += self._panel[:k, a : a + GRAM_BLOCK] @ pair[:, a : a + GRAM_BLOCK].T
+            self._gram[:k, rows] = column
+            self._gram[rows, :k] = column.T
         self._gram[rows, rows] = ((ss, sy), (sy, yy))
         self._gamma = max(SQRT_EPS, sy / yy)
         self._ab = self._k_h = None
@@ -274,10 +278,10 @@ class PairMemory:
         v = self._check_dim(v, "v")
         ab = self.ab_vectors()
         panel = self._panel[: 2 * self._m]
-        return (1.0 / self._gamma) * v + panel.T @ fold(ab.rows, ab.weights, panel @ v)
+        return ab.base * v + panel.T @ fold(ab.rows, ab.weights, panel @ v)
 
-    def ab_vectors(self) -> AbVectors:
-        """Return the a/b rows and weights, built on the first read after a mutation.
+    def ab_vectors(self) -> FoldedOperator:
+        """Return B (base 1/gamma, the a/b rows), built on the first read after a mutation.
 
         Raises NumericalBreakdownError when some s_i^T B_i s_i is not
         positive, which signals loss of positive definiteness despite the
@@ -290,22 +294,24 @@ class PairMemory:
     def inverse_kernel(self) -> np.ndarray:
         """Return K_H of B^{-1} = gamma I + P^T K_H P, built on the first read after a mutation.
 
-        The (2m, 2m) array is read-only and indexed like the panel rows.
+        The (2m, 2m) array, from the inverse BFGS update over the pairs, is
+        read-only, exactly symmetric and indexed like the panel rows.
         """
         if self._k_h is None:
             self._k_h = self._build_k_h()
         return self._k_h
 
-    def _build_ab(self) -> AbVectors:
+    def _build_ab(self) -> FoldedOperator:
         m, k = self._m, 2 * self._m
         gram = self._gram[:k, :k]
+        base = 1.0 / self._gamma
         rows = np.zeros((k, k))
         weights = np.tile([1.0, -1.0], m)
         for i, j in enumerate(self._slots()):
             si, yi = 2 * j, 2 * j + 1
             # Coefficients of B_i s_i, with every inner product read from G.
             bs = fold(rows[: 2 * i], weights[: 2 * i], gram[:, si])
-            bs[si] += 1.0 / self._gamma
+            bs[si] += base
             sbs = float(bs @ gram[:, si])
             if not np.isfinite(sbs) or sbs <= 0.0:
                 raise NumericalBreakdownError(
@@ -314,28 +320,29 @@ class PairMemory:
             rows[2 * i, yi] = 1.0 / math.sqrt(gram[si, yi])  # b_i
             rows[2 * i + 1] = bs / math.sqrt(sbs)  # a_i
         rows.flags.writeable = weights.flags.writeable = False
-        return AbVectors(rows=rows, weights=weights)
+        return FoldedOperator(base=base, rows=rows, weights=weights)
 
     def _build_k_h(self) -> np.ndarray:
-        """The compact inverse (Byrd, Nocedal & Schnabel 1994, eq. 2.6).
+        """K_H by H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, oldest pair first.
 
-        With R = triu(S^T Y) and D = diag(S^T Y), both oldest pair first,
-        K_H = [[R^-T (D + gamma Y^T Y) R^-1, -gamma R^-T], [-gamma R^-1, 0]]
-        over (S, Y).  G is gathered once in that order and the blocks are
-        scattered once back to the panel's rows.
+        This is the inverse BFGS update of Nocedal's (1980) two-loop
+        recursion, rho = 1 / s^T y, applied from H = gamma I to
+        H = gamma I + P^T K_H P with every inner product read from G.  With
+        h = K_H G[:, y] + gamma e_y, the coefficients of H y, row s and
+        column s each take -rho h, and (s, s) adds rho (1 + rho y^T H y).
         """
-        m, slots = self._m, self._slots()
-        panel_rows = [2 * j for j in slots] + [2 * j + 1 for j in slots]  # S, then Y
-        order = np.ix_(panel_rows, panel_rows)
-        gram = self._gram[order]
-        sy, yy = gram[:m, m:], gram[m:, m:]
-        r_inv = np.linalg.inv(np.triu(sy))
-        blocks = np.zeros((2 * m, 2 * m))
-        blocks[:m, :m] = r_inv.T @ (np.diag(np.diag(sy)) + self._gamma * yy) @ r_inv
-        blocks[:m, m:] = -self._gamma * r_inv.T
-        blocks[m:, :m] = -self._gamma * r_inv
-        k_h = np.empty_like(blocks)
-        k_h[order] = blocks  # order is a permutation of the 2m rows
+        k = 2 * self._m
+        gram = self._gram[:k, :k]
+        k_h = np.zeros((k, k))
+        for j in self._slots():
+            si, yi = 2 * j, 2 * j + 1
+            rho = 1.0 / gram[si, yi]
+            h = k_h @ gram[:, yi]
+            h[yi] += self._gamma
+            step = rho * h
+            k_h[si] -= step
+            k_h[:, si] -= step
+            k_h[si, si] += rho * (1.0 + rho * float(gram[:, yi] @ h))
         k_h.flags.writeable = False
         return k_h
 

@@ -29,7 +29,8 @@ Every c_k, and hence every r_k, lies in the span of the memory's panel P,
 so (B + sigma I)^{-1} = base I + P^T K P with base = (gamma^{-1} + sigma)^{-1}
 and K = R^T diag(w) R over the r_k's coefficient rows R and weights
 w_k = (-1)^{k+1} v_k.  ``prepare`` forms R and w in O(M^3), reading every
-inner product from the Gram matrix G = P P^T, with no n-length work;
+inner product from the Gram matrix G = P P^T, with no n-length work, into
+a :class:`~trbench.memory.FoldedOperator`, the type that also holds B;
 :func:`apply` is the product K v, O(M^2), through the memory's one
 coefficient kernel :func:`~trbench.memory.fold`.  Its one consumer is
 mss's Gram-space Newton iterate (:func:`~trbench.subproblem.gram_iterate`).
@@ -38,47 +39,32 @@ mss's Gram-space Newton iterate (:func:`~trbench.subproblem.gram_iterate`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalBreakdownError
-from .memory import EPS, PairMemory, fold
+from .memory import EPS, FoldedOperator, PairMemory, fold
 
 # Denominators 1 + (-1)^k r_k^T c_k below this magnitude are treated as
 # breakdown rather than propagated as huge v_k.
 DENOM_GUARD = 1e3 * EPS
 
 
-@dataclass(frozen=True)
-class ShiftedRecursionState:
-    """The factors of (B + sigma I)^{-1} = base I + P^T K P for one (memory, sigma).
+def prepare(mem: PairMemory, sigma: float) -> FoldedOperator:
+    """Return (B + sigma I)^{-1}, sigma >= 0, as a folded operator.
 
-    ``r_coef`` holds the coefficients of each r_k over the memory's panel
-    (r_k = r_coef[k] @ mem.panel) and ``weights`` the (-1)^{k+1} v_k, so
-    K = r_coef^T diag(weights) r_coef.  Building the state costs O(M^3);
-    each kernel product against it (:func:`apply`) costs O(M^2).
-    """
-
-    base: float  # (gamma^{-1} + sigma)^{-1}
-    r_coef: np.ndarray  # (2m, 2m)
-    weights: np.ndarray  # (2m,), (-1)^{k+1} v_k
-
-
-def prepare(mem: PairMemory, sigma: float) -> ShiftedRecursionState:
-    """Build the recursion state for solves with (B + sigma I), sigma >= 0.
-
-    Each pair's +b_i b_i^T term is folded before its -a_i a_i^T term, so
-    every intermediate matrix is SPD down to sigma = 0 (for the accuracy
-    at large gamma, see the module docstring).  Raises ValueError for a
-    negative or non-finite sigma and NumericalBreakdownError when a v_k
-    denominator falls under the guard.
+    Its rows are the r_k's coefficients (r_k = rows[k] @ mem.panel) and its
+    weights the (-1)^{k+1} v_k.  Each pair's +b_i b_i^T term is folded
+    before its -a_i a_i^T term, so every intermediate matrix is SPD down to
+    sigma = 0 (for the accuracy at large gamma, see the module docstring).
+    Raises ValueError for a negative or non-finite sigma and
+    NumericalBreakdownError when a v_k denominator falls under the guard.
     """
     sigma = float(sigma)
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"shift must be finite and nonnegative, got {sigma}")
     ab = mem.ab_vectors()
-    base = 1.0 / (1.0 / mem.gamma + sigma)
+    base = 1.0 / (ab.base + sigma)
     c = ab.rows  # coefficient rows of c_k: b_0, a_0, b_1, ...
     gc = c @ mem.gram  # row k: inner products of c_k with every panel row
     r = np.zeros(c.shape)
@@ -92,13 +78,13 @@ def prepare(mem: PairMemory, sigma: float) -> ShiftedRecursionState:
             )
         r[k] = rk
         weights[k] = -ab.weights[k] / denom
-    return ShiftedRecursionState(base=base, r_coef=r, weights=weights)
+    return FoldedOperator(base=base, rows=r, weights=weights)
 
 
-def apply(state: ShiftedRecursionState, v: np.ndarray) -> np.ndarray:
+def apply(op: FoldedOperator, v: np.ndarray) -> np.ndarray:
     """Return K v for the kernel K of (B + sigma I)^{-1} = base I + P^T K P.
 
     v has length 2m, a vector of panel coordinates such as P y, so the
-    solve (B + sigma I)^{-1} y is base y + P^T apply(state, P y).
+    solve (B + sigma I)^{-1} y is op.base y + P^T apply(op, P y).
     """
-    return fold(state.r_coef, state.weights, v)
+    return fold(op.rows, op.weights, v)

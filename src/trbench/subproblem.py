@@ -262,11 +262,11 @@ def gram_iterate(mem: PairMemory, f: np.ndarray, sigma: float) -> GramIterate:
     """Solve (B + sigma I) p = -g in Gram space, given the frame's Gram matrix f.
 
     (B + sigma I)^{-1} = base I + P^T K P: at sigma = 0, base = gamma and
-    K is the compact inverse's K_H (``mem.inverse_kernel()``, so an mss
+    K is the inverse BFGS update's K_H (``mem.inverse_kernel()``, so an mss
     solve that ends interior never builds the a/b rows); at sigma > 0 both
-    come from ``shifted_prepare(mem, sigma)``, and ``shifted_apply``
-    applies K through its factors, twice per call.  With u = P g, p has the
-    coordinates x = -[base; K u], so
+    come from the folded operator ``shifted_prepare(mem, sigma)``, and
+    ``shifted_apply`` applies K through its factors, twice per call.  With
+    u = P g, p has the coordinates x = -[base; K u], so
 
         ||p||^2 = x^T F x,  q = P p = (F x)[1:],
         p^T (B + sigma I)^{-1} p = base ||p||^2 + q^T K q,
@@ -278,9 +278,9 @@ def gram_iterate(mem: PairMemory, f: np.ndarray, sigma: float) -> GramIterate:
         base = mem.gamma
         kernel = functools.partial(np.matmul, mem.inverse_kernel())
     else:
-        state = shifted_prepare(mem, sigma)
-        base = state.base
-        kernel = functools.partial(shifted_apply, state)
+        op = shifted_prepare(mem, sigma)
+        base = op.base
+        kernel = functools.partial(shifted_apply, op)
     x = -np.concatenate(([base], kernel(f[0, 1:])))
     fx = f @ x
     pp = max(float(x @ fx), 0.0)
@@ -389,8 +389,8 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
 
     CG runs on frame coordinates x of v = x[0] g + P^T x[1:], of length
     2m + 1: v^T w = x^T F y, and B v has the coordinates
-    c x + [0; fold(C, w, (F x)[1:])] for the memory's coefficient rows C,
-    weights w and c = 1/gamma.  A solve makes one O(M n) pass u = P g
+    base x + [0; fold(C, w, (F x)[1:])] for B's folded operator (base
+    1/gamma, rows C, weights w).  A solve makes one O(M n) pass u = P g
     (none when ``sp.pg`` gives u), O(M^2) work per CG iteration with no
     n-length work, and one pass P^T x at exit to form p, none when CG
     stops in its first iteration, whose step lies along g.  Squared norms
@@ -404,7 +404,6 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
     """
     f = frame(mem, sp)
     ab = mem.ab_vectors()
-    c = 1.0 / mem.gamma
     max_iterations = min(mem.n, STEIHAUG_MAX_ITERATIONS)
     rr = float(f[0, 0])  # ||r||^2 = g^T g at p = 0
     gnorm = math.sqrt(rr)
@@ -423,7 +422,7 @@ def steihaug_solve(mem: PairMemory, sp: Subproblem) -> SubproblemResult:
         d = -r
         while iterations < max_iterations:
             fd = f @ d
-            bd = c * d  # the coordinates of B d
+            bd = ab.base * d  # the coordinates of B d
             bd[1:] += fold(ab.rows, ab.weights, fd[1:])
             iterations += 1
             curvature = float(fd @ bd)

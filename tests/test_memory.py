@@ -264,10 +264,12 @@ def test_panel_and_gram_are_read_only(rng):
             array[0] = 5.0
 
 
-def test_gram_column_pass_spans_blocks_through_wrap_around(rng):
+@pytest.mark.parametrize("capacity", [3, 1])
+def test_gram_column_pass_spans_blocks_through_wrap_around(rng, capacity):
     # n = 2 GRAM_BLOCK + 3: the column pass takes two full blocks and a
-    # partial one, and 7 pairs into capacity 3 wrap the ring twice.
-    n, capacity = 2 * GRAM_BLOCK + 3, 3
+    # partial one, and 7 pairs into capacity 3 wrap the ring twice.  At
+    # capacity 1 every update stores a lone pair, skips the pass and wraps.
+    n = 2 * GRAM_BLOCK + 3
     mem = PairMemory(n, capacity=capacity)
     # Any summation order of a length-n dot product lies within
     # gamma_n |p_i|.|p_j| of the exact value (Higham 2002, eq. 3.5), so
@@ -286,10 +288,12 @@ def test_gram_column_pass_spans_blocks_through_wrap_around(rng):
     assert mem.m == capacity
 
 
-def test_carry_matches_direct_product_through_wrap_around(rng):
-    # Capacity 3 and 5 updates: the memory grows, fills and then wraps.
+@pytest.mark.parametrize("capacity", [3, 1])
+def test_carry_matches_direct_product_through_wrap_around(rng, capacity):
+    # 5 updates: the memory grows, fills and then wraps (from the second
+    # update on at capacity 1, where no Gram column pass runs).
     n = 12
-    mem = PairMemory(n, capacity=3)
+    mem = PairMemory(n, capacity=capacity)
     for _ in range(5):
         g = rng.standard_normal(n)
         s = rng.standard_normal(n)
@@ -300,7 +304,7 @@ def test_carry_matches_direct_product_through_wrap_around(rng):
         assert moved.version == mem.version
         scale = np.linalg.norm(mem.panel, axis=1) * (np.linalg.norm(g) + np.linalg.norm(y))
         np.testing.assert_array_less(np.abs(moved.u - mem.panel @ (g + y)), 4 * n * EPS * scale)
-    assert mem.m == 3
+    assert mem.m == capacity
 
 
 def test_carry_rejects_a_product_not_one_update_old(rng):

@@ -26,7 +26,7 @@ def identity_pair_memory(n=3):
 def test_empty_memory_state():
     mem = PairMemory(4)
     state = prepare(mem, 1.0)
-    assert (state.r_coef @ mem.panel).shape == (0, 4)
+    assert (state.rows @ mem.panel).shape == (0, 4)
     assert state.weights.shape == (0,)
     assert state.base == pytest.approx(0.5)
     assert apply(state, np.zeros(0)).shape == (0,)
@@ -38,10 +38,10 @@ def test_hand_trace_single_pair():
     # halves e1.  Executing the recursion by hand for k = 0, 1:
     #   r0 = e1/2,   v0 = 1/(1 + 1/2)  = 2/3    (even k, b-vector, sign -1)
     #   r1 = e1/3,   v1 = 1/(1 - 1/3)  = 3/2    (odd k, a-vector, sign +1)
-    # The state keeps the signed weights (-1)^{k+1} v_k.
+    # The operator keeps the signed weights (-1)^{k+1} v_k.
     mem = identity_pair_memory()
     state = prepare(mem, 1.0)
-    r = state.r_coef @ mem.panel
+    r = state.rows @ mem.panel
     np.testing.assert_allclose(r[0], 0.5 * e(0, 3))
     assert state.weights[0] == pytest.approx(-2.0 / 3.0)
     np.testing.assert_allclose(r[1], e(0, 3) / 3.0)
