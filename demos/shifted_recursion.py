@@ -2,9 +2,9 @@
 # Accuracy of the shifted-system recursion across shift magnitudes.
 #
 # Each solve runs as mss runs it: gram_iterate on the frame of g = -y
-# gives the coordinates of p = (B + sigma I)^{-1} y (the memory's K_H,
-# built by the inverse BFGS update, at sigma = 0, the recursion's kernel
-# otherwise) and frame_step forms p.
+# gives the coordinates of p = (B + sigma I)^{-1} y (the memory's B^{-1},
+# a folded operator built by the inverse BFGS update, at sigma = 0, the
+# recursion's otherwise) and frame_step forms p.
 # Residuals are measured through the forward product (no dense matrix
 # needed) and, at this small size, against a dense LU solve as well.
 import numpy as np

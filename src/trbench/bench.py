@@ -10,8 +10,6 @@ import warnings
 from bisect import bisect_right
 from dataclasses import astuple, dataclass, fields, replace
 
-import numpy as np
-
 from .driver import CONVERGED, TrConfig, minimize
 from .errors import CsvFormatError
 from .problems import ProblemInstance, make

@@ -12,22 +12,23 @@ where B_i is the matrix after the first i updates.
 The pairs live in one ring-buffered panel P whose rows are s and y of
 each slot, next to its Gram matrix G = P P^T.  Every a_i and b_i is a
 coefficient row over P (a row of C, with weight w = +1 for b_i and -1
-for a_i), so both products take a compact form in P:
+for a_i), as is each term of B^{-1} by the inverse BFGS update of
+Nocedal's (1980) two-loop recursion (a row of U), so both products take
+one compact form in P:
 
     B v      = gamma^{-1} v + P^T C^T diag(w) C (P v),
-    B^{-1} v = gamma v      + P^T K_H (P v),
+    B^{-1} v = gamma v      + P^T U^T diag(w) U (P v).
 
-with K_H from the inverse BFGS update of Nocedal's (1980) two-loop recursion.
 One coefficient kernel, :func:`fold` (sum_k w_k (r_k . v) r_k over
 coefficient rows r_k), serves every sum of rank-one terms in the
-package: the build of C itself, ``B v``, the shifted recursion's r_k and
-its kernel products, and both solvers' Gram-space iterations.  B and each
-shifted inverse are one type, :class:`FoldedOperator`.
+package: the builds of C and U, both products, the shifted recursion's
+r_k and its kernel products, and both solvers' Gram-space iterations.
+B, B^{-1} and each shifted inverse are one type, :class:`FoldedOperator`.
 
 Costs: one O(M n) pass over the updated panel, P [s y] in column
 blocks, to refresh G per accepted pair (none for a lone pair); O(M^3)
-per factor, C (with w) or K_H, built from G on its first read after a
-mutation (no n-length work); O(M n) per product.  P y is also the step
+per factor, C or U, built from G on its first read after a mutation
+(no n-length work); O(M n) per product.  P y is also the step
 from P g to P g_trial = P (g + y) for the driver's next solve
 (:meth:`PairMemory.carry`), so an accepted step whose pair was stored
 needs no fresh pass u = P g_trial.  The product carries its rounding
@@ -93,11 +94,11 @@ class FoldedOperator:
     """The operator base I + P^T fold(rows, weights, P .) over a memory's panel P.
 
     ``rows`` (2m x 2m) are coefficient rows over :attr:`PairMemory.panel`.
-    For B (:meth:`PairMemory.ab_vectors`, cached, so rows and weights are
-    read-only) base = 1/gamma and the rows are b_0, a_0, b_1, a_1, ...
-    (oldest pair first, the recursion's fold order) with weights +1, -1,
-    ...; for (B + sigma I)^{-1} (:func:`~trbench.shifted.prepare`) they
-    are r_k and (-1)^{k+1} v_k.
+    B (:meth:`PairMemory.ab_vectors`) has base = 1/gamma and rows b_0, a_0,
+    b_1, a_1, ..., B^{-1} (:meth:`PairMemory.inverse_operator`) base =
+    gamma and rows u_0, h'_0, u_1, h'_1, ..., both oldest pair first with
+    weights +1, -1, ... and cached, so read-only; (B + sigma I)^{-1}
+    (:func:`~trbench.shifted.prepare`) has rows r_k and weights (-1)^{k+1} v_k.
     """
 
     base: float
@@ -119,10 +120,9 @@ class PairMemory:
     Slot j occupies panel rows 2j (s) and 2j + 1 (y).  Slots fill in
     order and then wrap, so the stored pairs always occupy the leading
     2m rows.  All operations except ``try_update`` are read-only.  Each
-    factor, the a/b rows (:meth:`ab_vectors`) and K_H
-    (:meth:`inverse_kernel`), is built on its first read after a mutation
-    and cached until the next one, so a solver pays only for the factor it
-    reads.
+    factor, B (:meth:`ab_vectors`) and B^{-1} (:meth:`inverse_operator`),
+    is built on its first read after a mutation and cached until the next
+    one, so a solver pays only for the factor it reads.
     """
 
     def __init__(self, n: int, capacity: int = 5):
@@ -139,7 +139,7 @@ class PairMemory:
         self._head = 0  # slot of the oldest pair
         self._gamma = 1.0
         self._ab: FoldedOperator | None = None
-        self._k_h: np.ndarray | None = None
+        self._inv: FoldedOperator | None = None
         self._version = 0
 
     @property
@@ -233,7 +233,7 @@ class PairMemory:
             self._gram[rows, :k] = column.T
         self._gram[rows, rows] = ((ss, sy), (sy, yy))
         self._gamma = max(SQRT_EPS, sy / yy)
-        self._ab = self._k_h = None
+        self._ab = self._inv = None
         self._version += 1
         return True
 
@@ -267,18 +267,18 @@ class PairMemory:
         u += self._gram[:k, y_row]
         return PanelProduct(u, self._version, error)
 
-    def inv_multiply(self, z) -> np.ndarray:
-        """Return B^{-1} z = gamma z + P^T K_H (P z), K_H from :meth:`inverse_kernel`."""
-        z = self._check_dim(z, "z")
+    def _apply(self, op: FoldedOperator, v: np.ndarray) -> np.ndarray:
+        """Return op v = op.base v + P^T fold(op.rows, op.weights, P v)."""
         panel = self._panel[: 2 * self._m]
-        return self._gamma * z + panel.T @ (self.inverse_kernel() @ (panel @ z))
+        return op.base * v + panel.T @ fold(op.rows, op.weights, panel @ v)
+
+    def inv_multiply(self, z) -> np.ndarray:
+        """Return B^{-1} z through :meth:`inverse_operator`."""
+        return self._apply(self.inverse_operator(), self._check_dim(z, "z"))
 
     def multiply(self, v) -> np.ndarray:
         """Return B v = v / gamma - sum a_i (a_i^T v) + sum b_i (b_i^T v)."""
-        v = self._check_dim(v, "v")
-        ab = self.ab_vectors()
-        panel = self._panel[: 2 * self._m]
-        return ab.base * v + panel.T @ fold(ab.rows, ab.weights, panel @ v)
+        return self._apply(self.ab_vectors(), self._check_dim(v, "v"))
 
     def ab_vectors(self) -> FoldedOperator:
         """Return B (base 1/gamma, the a/b rows), built on the first read after a mutation.
@@ -291,22 +291,22 @@ class PairMemory:
             self._ab = self._build_ab()
         return self._ab
 
-    def inverse_kernel(self) -> np.ndarray:
-        """Return K_H of B^{-1} = gamma I + P^T K_H P, built on the first read after a mutation.
+    def inverse_operator(self) -> FoldedOperator:
+        """Return B^{-1} (base gamma, the u/h' rows), built on the first read after a mutation.
 
-        The (2m, 2m) array, from the inverse BFGS update over the pairs, is
-        read-only, exactly symmetric and indexed like the panel rows.
+        Raises NumericalBreakdownError when the inverse update loses
+        positive definiteness (see :meth:`_build_inverse`).
         """
-        if self._k_h is None:
-            self._k_h = self._build_k_h()
-        return self._k_h
+        if self._inv is None:
+            self._inv = self._build_inverse()
+        return self._inv
 
     def _build_ab(self) -> FoldedOperator:
         m, k = self._m, 2 * self._m
         gram = self._gram[:k, :k]
         base = 1.0 / self._gamma
         rows = np.zeros((k, k))
-        weights = np.tile([1.0, -1.0], m)
+        weights = np.array([1.0, -1.0] * m)
         for i, j in enumerate(self._slots()):
             si, yi = 2 * j, 2 * j + 1
             # Coefficients of B_i s_i, with every inner product read from G.
@@ -322,29 +322,36 @@ class PairMemory:
         rows.flags.writeable = weights.flags.writeable = False
         return FoldedOperator(base=base, rows=rows, weights=weights)
 
-    def _build_k_h(self) -> np.ndarray:
-        """K_H by H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, oldest pair first.
+    def _build_inverse(self) -> FoldedOperator:
+        """B^{-1} by H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, oldest pair first.
 
         This is the inverse BFGS update of Nocedal's (1980) two-loop
-        recursion, rho = 1 / s^T y, applied from H = gamma I to
-        H = gamma I + P^T K_H P with every inner product read from G.  With
-        h = K_H G[:, y] + gamma e_y, the coefficients of H y, row s and
-        column s each take -rho h, and (s, s) adds rho (1 + rho y^T H y).
+        recursion, rho = 1 / s^T y, from H = gamma I with every inner
+        product read from G.  With h = H y and alpha = rho (1 + rho y^T h),
+        a pair adds alpha s s^T - rho (s h^T + h s^T) = u u^T - h' h'^T for
+        h' = (rho / sqrt(alpha)) h and u = sqrt(alpha) s - h'.  Raises
+        NumericalBreakdownError when alpha, positive in exact arithmetic, is not.
         """
-        k = 2 * self._m
+        m, k = self._m, 2 * self._m
         gram = self._gram[:k, :k]
-        k_h = np.zeros((k, k))
-        for j in self._slots():
+        rows = np.zeros((k, k))
+        weights = np.array([1.0, -1.0] * m)
+        for i, j in enumerate(self._slots()):
             si, yi = 2 * j, 2 * j + 1
             rho = 1.0 / gram[si, yi]
-            h = k_h @ gram[:, yi]
+            h = fold(rows[: 2 * i], weights[: 2 * i], gram[:, yi])
             h[yi] += self._gamma
-            step = rho * h
-            k_h[si] -= step
-            k_h[:, si] -= step
-            k_h[si, si] += rho * (1.0 + rho * float(gram[:, yi] @ h))
-        k_h.flags.writeable = False
-        return k_h
+            alpha = rho * (1.0 + rho * float(gram[:, yi] @ h))
+            if not np.isfinite(alpha) or alpha <= 0.0:
+                raise NumericalBreakdownError(
+                    f"alpha = {alpha:.3e} for pair {i}; B^-1 lost positive definiteness"
+                )
+            root = math.sqrt(alpha)
+            rows[2 * i + 1] = (rho / root) * h  # h'
+            rows[2 * i] = -rows[2 * i + 1]
+            rows[2 * i, si] += root  # u
+        rows.flags.writeable = weights.flags.writeable = False
+        return FoldedOperator(base=self._gamma, rows=rows, weights=weights)
 
     def materialize_dense(self) -> np.ndarray:
         """Form B explicitly.  Test oracle, small n only.

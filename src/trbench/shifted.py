@@ -30,7 +30,7 @@ so (B + sigma I)^{-1} = base I + P^T K P with base = (gamma^{-1} + sigma)^{-1}
 and K = R^T diag(w) R over the r_k's coefficient rows R and weights
 w_k = (-1)^{k+1} v_k.  ``prepare`` forms R and w in O(M^3), reading every
 inner product from the Gram matrix G = P P^T, with no n-length work, into
-a :class:`~trbench.memory.FoldedOperator`, the type that also holds B;
+a :class:`~trbench.memory.FoldedOperator`, the type of B and B^{-1} too;
 :func:`apply` is the product K v, O(M^2), through the memory's one
 coefficient kernel :func:`~trbench.memory.fold`.  Its one consumer is
 mss's Gram-space Newton iterate (:func:`~trbench.subproblem.gram_iterate`).

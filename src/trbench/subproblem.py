@@ -29,7 +29,6 @@ for a step along g (x[1:] all zero), as steihaug's first iterate is.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -261,31 +260,24 @@ class GramIterate:
 def gram_iterate(mem: PairMemory, f: np.ndarray, sigma: float) -> GramIterate:
     """Solve (B + sigma I) p = -g in Gram space, given the frame's Gram matrix f.
 
-    (B + sigma I)^{-1} = base I + P^T K P: at sigma = 0, base = gamma and
-    K is the inverse BFGS update's K_H (``mem.inverse_kernel()``, so an mss
-    solve that ends interior never builds the a/b rows); at sigma > 0 both
-    come from the folded operator ``shifted_prepare(mem, sigma)``, and
-    ``shifted_apply`` applies K through its factors, twice per call.  With
-    u = P g, p has the coordinates x = -[base; K u], so
+    (B + sigma I)^{-1} = base I + P^T K P is one folded operator, B^{-1}
+    itself at sigma = 0 (``mem.inverse_operator()``, so an mss solve that
+    ends interior builds no a/b rows) and ``shifted_prepare(mem, sigma)``
+    above, and ``shifted_apply`` applies K through its factors, twice per
+    call.  With u = P g, p has the coordinates x = -[base; K u], so
 
         ||p||^2 = x^T F x,  q = P p = (F x)[1:],
         p^T (B + sigma I)^{-1} p = base ||p||^2 + q^T K q,
 
-    an O(M^2) cost on top of the O(M^3) ``prepare``.  Raises
-    NumericalBreakdownError when the recursion does.
+    an O(M^2) cost on top of the O(M^3) build.  Raises
+    NumericalBreakdownError when the build does.
     """
-    if sigma == 0.0:
-        base = mem.gamma
-        kernel = functools.partial(np.matmul, mem.inverse_kernel())
-    else:
-        op = shifted_prepare(mem, sigma)
-        base = op.base
-        kernel = functools.partial(shifted_apply, op)
-    x = -np.concatenate(([base], kernel(f[0, 1:])))
+    op = mem.inverse_operator() if sigma == 0.0 else shifted_prepare(mem, sigma)
+    x = -np.concatenate(([op.base], shifted_apply(op, f[0, 1:])))
     fx = f @ x
     pp = max(float(x @ fx), 0.0)
     q = fx[1:]
-    curvature = base * pp + float(q @ kernel(q))
+    curvature = op.base * pp + float(q @ shifted_apply(op, q))
     return GramIterate(sigma=sigma, x=x, p_norm=math.sqrt(pp), curvature=curvature)
 
 

@@ -15,8 +15,9 @@ def rng():
 def shifted_solve(mem, sigma, y):
     """(B + sigma I)^{-1} y on the Gram path mss runs: its iterate for g = -y.
 
-    The memory's K_H (the inverse BFGS update) at sigma = 0, the shifted
-    recursion's folded operator (``shifted.apply``) at sigma > 0.
+    The memory's B^{-1} (the inverse BFGS update) at sigma = 0, the
+    shifted recursion at sigma > 0: both folded operators that
+    ``shifted.apply`` applies.
     """
     y = np.asarray(y, dtype=float)
     it = gram_iterate(mem, frame(mem, Subproblem(g=-y, delta=1.0)), sigma)

@@ -281,9 +281,9 @@ class TestMinimize:
     def test_factors_built_only_for_their_readers(self, monkeypatch):
         # Each factor is built on its first read after an accepted pair:
         # steihaug reads only the a/b rows, an mss solve that ends interior
-        # only K_H, and no factor is built twice at one memory version.
+        # only B^{-1}, and no factor is built twice at one memory version.
         builds = []
-        for name in ("_build_ab", "_build_k_h"):
+        for name in ("_build_ab", "_build_inverse"):
             build = getattr(PairMemory, name)
 
             def spy(mem, build=build, name=name):
@@ -313,10 +313,10 @@ class TestMinimize:
             if solver == "steihaug":
                 assert kinds == {"_build_ab"}
             else:
-                assert kinds == {"_build_ab", "_build_k_h"}
+                assert kinds == {"_build_ab", "_build_inverse"}
                 assert len(set(builds)) == len(builds)
                 assert interior_builds
-                assert all(name == "_build_k_h" for name, _, _ in interior_builds)
+                assert all(name == "_build_inverse" for name, _, _ in interior_builds)
 
     def test_radius_too_small_exit(self):
         # Constant f with nonzero reported gradient: every step is rejected

@@ -194,26 +194,29 @@ class TestAbVectors:
 
     def test_cache_invalidated_by_update(self, rng):
         mem = random_memory(rng, 6, 2)
-        first, first_k_h = mem.ab_vectors(), mem.inverse_kernel()
+        first, first_inv = mem.ab_vectors(), mem.inverse_operator()
         assert mem.ab_vectors() is first  # cached while unchanged
-        assert mem.inverse_kernel() is first_k_h
+        assert mem.inverse_operator() is first_inv
         s = rng.standard_normal(6)
         assert mem.try_update(s, s)
         assert mem.ab_vectors() is not first
-        k_h = mem.inverse_kernel()
-        assert k_h is not first_k_h
+        inv = mem.inverse_operator()
+        assert inv is not first_inv
         assert not mem.try_update(s, -s)  # rejected: the memory is unchanged
-        assert mem.inverse_kernel() is k_h
+        assert mem.inverse_operator() is inv
 
     def test_breakdown_surfaces_as_error(self):
-        # Valid pairs cannot produce s^T B s <= 0 exactly, so corrupt the
-        # base scale to exercise the guard on that quantity.
+        # Valid pairs cannot produce s^T B s <= 0, nor the inverse update's
+        # alpha = rho (1 + rho y^T H y) <= 0, exactly, so corrupt the base
+        # scale to exercise the guard on each: at gamma = -1 with the pair
+        # (e_0, e_0), s^T B s = -1 and alpha = 0.
         mem = PairMemory(2)
         assert mem.try_update(e(0, 2), e(0, 2))
         mem._gamma = -1.0
-        mem._ab = None
-        with pytest.raises(NumericalBreakdownError):
-            mem.ab_vectors()
+        mem._ab = mem._inv = None
+        for factor in (mem.ab_vectors, mem.inverse_operator):
+            with pytest.raises(NumericalBreakdownError):
+                factor()
 
 
 class TestMaterializeDense:
@@ -258,8 +261,9 @@ def test_panel_and_gram_are_read_only(rng):
     ab = mem.ab_vectors()
     assert mem.panel.shape == (4, 6)
     assert mem.gram.shape == (4, 4)
-    assert mem.inverse_kernel().shape == (4, 4)
-    for array in (mem.panel, mem.gram, ab.rows, ab.weights, mem.inverse_kernel()):
+    inv = mem.inverse_operator()
+    assert inv.rows.shape == (4, 4)
+    for array in (mem.panel, mem.gram, ab.rows, ab.weights, inv.rows, inv.weights):
         with pytest.raises(ValueError):
             array[0] = 5.0
 

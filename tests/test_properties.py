@@ -354,7 +354,7 @@ def family_memory(rng, n, family):
 )
 def test_gram_iterate_matches_n_space(seed, n, family, sigma):
     # ||p|| and p^T (B + sigma I)^{-1} p read from the Gram matrix must
-    # equal their values in n-space: from inv_multiply's products (K_H)
+    # equal their values in n-space: from inv_multiply's products (B^{-1})
     # at sigma = 0, and otherwise from the p that frame_step forms and a
     # second Gram solve against that p.  Both sides use the same kernels,
     # so only the order of operations differs,
@@ -582,10 +582,11 @@ def exact_inverse_product(mem, v):
 def test_inv_multiply_against_exact_arithmetic():
     # An accuracy check that does not scale with cond(B), as the
     # tolerances of assert_products_match do.  On this loop the worst
-    # relative error was 5.8e-15, for K_H both from the compact inverse
-    # of Byrd, Nocedal & Schnabel (1994) and from the inverse BFGS update.
-    # Over 1000 other draws per family, both stayed under 2.2e-14 except
-    # near_collinear, whose worst draw reached 7.3e-13 on both.
+    # relative error was 5.8e-15 for B^{-1}'s kernel as a dense 2m x 2m
+    # matrix (from the compact inverse of Byrd, Nocedal & Schnabel (1994)
+    # or the inverse BFGS update) and 7.0e-15 for its folded rows.  Over
+    # 1000 other draws per family all stayed under 2.2e-14 except
+    # near_collinear, whose worst draw reached 7.3e-13.
     rng = np.random.default_rng(31)
     for family in FAMILIES + ("huge_gamma",):
         for _ in range(25):
@@ -598,6 +599,31 @@ def test_inv_multiply_against_exact_arithmetic():
             want = exact_inverse_product(mem, v)
             error = np.linalg.norm(mem.inv_multiply(v) - want) / np.linalg.norm(want)
             assert error <= 1e-12, (family, n, error)
+
+
+def test_inv_multiply_meets_the_newest_secant_equation():
+    # The inverse update ends on the newest pair, so H y = s holds there
+    # in exact arithmetic.  The product rounds at ||H|| ||y|| (H from the
+    # dense update in floats), which exceeds ||s|| up to 1.4e7-fold on
+    # gamma_floor: over seeds 0-11 of this loop the error reached
+    # 1.1e-9 ||s|| there, but stayed under 0.64 TOL ||H|| ||y|| on every
+    # family (near_collinear; the rest under 1e-3).  On this seed the worst
+    # is 0.22 TOL ||H|| ||y||, near_collinear again.
+    rng = np.random.default_rng(37)
+    for family in FAMILIES + ("huge_gamma",):
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            if family == "huge_gamma":
+                mem, _ = huge_gamma_subproblem(int(rng.integers(2**32)), n, 1.0)
+            else:
+                mem = family_memory(rng, n, family)
+            h = mem.gamma * np.eye(n)
+            for s, y in mem.pairs:
+                rho = 1.0 / float(s @ y)
+                v = np.eye(n) - rho * np.outer(y, s)
+                h = v.T @ h @ v + rho * np.outer(s, s)
+            error = np.linalg.norm(mem.inv_multiply(y) - s)
+            assert error <= TOL * np.linalg.norm(h, 2) * np.linalg.norm(y), (family, n)
 
 
 def awkward_floats():
